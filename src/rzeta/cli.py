@@ -48,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def height(text: str) -> float:
+    """argparse type for --T: a finite, positive float."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive: {text}"
+        )
+    return value
+
+
 def _resolve_precision(flag_value: int | None) -> Precision:
     if flag_value is None:
         env = os.environ.get(ENV_PRECISION, "").strip()
@@ -71,8 +81,10 @@ def _jsonable(value, prec: Precision):
 def _emit(doc: dict, args, prec: Precision = DOUBLE) -> None:
     if not args.no_timestamp:
         doc = {**doc, "timestamp": datetime.now(timezone.utc).isoformat()}
-    text = json.dumps(_jsonable(doc, prec), sort_keys=True, indent=2) + "\n"
-    _write(text, args.output)
+    text = json.dumps(
+        _jsonable(doc, prec), sort_keys=True, indent=2, allow_nan=False
+    )
+    _write(text + "\n", args.output)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -305,7 +317,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "zeta", parents=[common], help="Dirichlet polynomial at one height"
     )
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=height, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
@@ -316,12 +328,12 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=height, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_resonate)
 
     p = sub.add_parser("scan", parents=[common], help="grid maximum search")
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=height, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--refine", action="store_true")
@@ -334,7 +346,7 @@ def _build_parser() -> _Parser:
         "factors", parents=[common], help="constant-comparison table"
     )
     p.add_argument("--ellmax", type=int, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=height, required=True)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_factors)
 

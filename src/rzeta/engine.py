@@ -17,24 +17,26 @@ The weight phi is the standard smooth partition-of-unity step: 0 off
 psi(u) = g(u)/(g(u)+g(1-u)), g(u) = exp(-1/u).  The exact symmetry
 psi(u) + psi(1-u) = 1 makes phihat(0) = 3/4 exactly, which the tests pin.
 
-Moment integrands are evaluated on the interleaved uniform grids of
-composite Gauss-Legendre panels, so the Dirichlet polynomial runs
-through one FFT-gridded transform per Gauss offset per level.
+Each moment integrand is a band-limited factor (R, and P for M2) times
+phi(t/T), so the trapezoid rule on a grid past the band is exact up to
+phihat's far tail; :mod:`rzeta.quadrature` sizes the grid from that band
+and refines by nested halving.  Every level is one uniform grid, so the
+Dirichlet polynomial runs through one FFT-gridded transform per level.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError
-from .gridsum import UniformGridPlan, exp_sum_on_grid
+from .gridsum import exp_sum_on_grid
 from .precision import EXP_GAMMA
 from .primes import iterated_log
-from .quadrature import QuadratureSettings, initial_panels, integrate_refine
+from .quadrature import QuadratureSettings, integrate_refine
 from .resonator import (
     FactoredElement,
     ResonatorSpec,
@@ -70,42 +72,28 @@ def bump_phi(t):
     return out
 
 
-@dataclass(frozen=True)
-class BumpWeight:
-    """The fixed weight function with its transition width and quadrature
-    policy for Fourier evaluation."""
-
-    transition_width: float = 0.25
-    settings: QuadratureSettings = field(
-        default_factory=lambda: QuadratureSettings(
-            rel_tol=1e-10, gauss_order=24, abs_scale=1.0
-        )
-    )
-
-    def __call__(self, t):
-        return bump_phi(t)
-
-    def hat(self, xi: float) -> complex:
-        return bump_phi_hat(xi, self.settings)
+# Effective band of phi: |phihat(xi)| < 1e-15 for |xi| >= PHI_BAND (sampled
+# every 50 up to 6000 by a 2M-node trapezoid), so phi(t/T) counts as
+# band-limited to PHI_BAND / T in the moment integrands.
+PHI_BAND = 2000.0
 
 
 def bump_phi_hat(
     xi: float, settings: QuadratureSettings | None = None
 ) -> complex:
-    """phihat(xi) = integral phi(u) exp(-i xi u) du by refined panels.
+    """phihat(xi) = integral phi(u) exp(-i xi u) du by the trapezoid rule.
 
     Convention: with this sign, integral (m/n)^(it) phi(t/T) dt equals
     T * phihat(T log(n/m)).
     """
     if settings is None:
-        settings = QuadratureSettings(rel_tol=1e-10, gauss_order=24, abs_scale=1.0)
+        settings = QuadratureSettings(rel_tol=1e-10, abs_scale=1.0)
 
     def integrand(t0, dt, count):
         u = t0 + dt * np.arange(count)
         return bump_phi(u) * np.exp(-1j * xi * u)
 
-    panels = max(16, initial_panels(1.0, 2.0, abs(xi), settings))
-    return integrate_refine(integrand, 1.0, 2.0, panels, settings)
+    return integrate_refine(integrand, 1.0, 2.0, abs(xi) + PHI_BAND, settings)
 
 
 PHI_HAT_ZERO = 0.75  # exact: plateau 1/2 plus two transitions of 1/8 each
@@ -198,7 +186,7 @@ def _warn_if_peak_large(spec: ResonatorSpec, T: float):
 def moment_M1(
     spec: ResonatorSpec, T: float, quad: QuadratureSettings | None = None
 ) -> float:
-    """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by refined panels."""
+    """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by the trapezoid rule."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     _warn_if_peak_large(spec, T)
@@ -211,29 +199,19 @@ def moment_M1(
         u = (t0 + dt * np.arange(count)) / T
         return (r.real**2 + r.imag**2) * bump_phi(u)
 
-    nu_max = 2.0 * float(logs[-1]) if logs[-1] > 0 else 1.0
-    panels = initial_panels(T, 2 * T, nu_max, quad)
-    value = integrate_refine(integrand, T, 2 * T, panels, quad)
+    nu_max = 2.0 * float(logs[-1]) + PHI_BAND / T
+    value = integrate_refine(integrand, T, 2 * T, nu_max, quad)
     return float(value.real)
 
 
 def _dirichlet_grid_evaluator(T: float, ell: int):
-    """Returns f(t0, dt, count) -> P(t) on uniform grids, with plan reuse."""
+    """Returns f(t0, dt, count) -> P(t) on uniform grids."""
     n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
     logn = np.log(n)
     coeffs = logn**ell / n
-    plans: dict = {}
 
     def evaluate(t0, dt, count):
-        if logn.size * count <= 2_000_000:
-            return exp_sum_on_grid(logn, coeffs, t0, dt, count)
-        key = (dt, count)
-        plan = plans.get(key)
-        if plan is None:
-            plan = UniformGridPlan(logn, dt, count)
-            plans.clear()  # refinement only moves forward; drop old level
-            plans[key] = plan
-        return plan.run(coeffs, t0)
+        return exp_sum_on_grid(logn, coeffs, t0, dt, count)
 
     return evaluate, float(logn[-1]) if logn.size else 0.0
 
@@ -258,19 +236,9 @@ def _cauchy_grid_evaluator(T: float, ell: int, radius: float, nodes: int):
     for j in range(nodes):
         coeffs += cauchy_w[j] * np.exp(-(1.0 + ring[j]) * logn)
     sign = (-1) ** ell
-    plans: dict = {}
 
     def evaluate(t0, dt, count):
-        key = (dt, count)
-        plan = plans.get(key)
-        if plan is None and logn.size * count > 2_000_000:
-            plan = UniformGridPlan(logn, dt, count)
-            plans.clear()
-            plans[key] = plan
-        if plan is None:
-            main = exp_sum_on_grid(logn, coeffs, t0, dt, count)
-        else:
-            main = plan.run(coeffs, t0)
+        main = exp_sum_on_grid(logn, coeffs, t0, dt, count)
         t = t0 + dt * np.arange(count)
         tail = np.zeros(count, dtype=np.complex128)
         for j in range(nodes):
@@ -320,9 +288,8 @@ def moment_M2(
         u = (t0 + dt * np.arange(count)) / T
         return p * (r.real**2 + r.imag**2) * bump_phi(u)
 
-    nu_max = nu_poly + (2.0 * float(logs[-1]) if logs[-1] > 0 else 0.0)
-    panels = initial_panels(T, 2 * T, max(nu_max, 1.0), quad)
-    return complex(integrate_refine(integrand, T, 2 * T, panels, quad))
+    nu_max = nu_poly + 2.0 * float(logs[-1]) + PHI_BAND / T
+    return complex(integrate_refine(integrand, T, 2 * T, nu_max, quad))
 
 
 # ------------------------------------------------------------ certificate --
@@ -414,19 +381,11 @@ def _golden_max(f, lo, hi, iterations=40):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def scan_max(
-    T: float,
-    ell: int,
-    grid_step: float,
-    refine: bool = False,
-    spec: ResonatorSpec | None = None,
-    quad: QuadratureSettings | None = None,
-) -> ScanReport:
-    """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
+def _scan_grid(T: float, ell: int, grid_step: float):
+    """(step, logn, coeffs, |P|) on the [T, 2T] grid of a scan.
 
     The step must satisfy grid_step <= pi/(4 log T): the polynomial's
     bandwidth is log T, and this keeps inter-sample wiggle bounded.
-    Ties in the grid maximum resolve to the smallest t.
     """
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
@@ -440,11 +399,27 @@ def scan_max(
         raise ValueError(f"ell must be >= 0, got {ell}")
     count = int(math.ceil(T / grid_step)) + 1
     step = T / (count - 1)
-
     n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
     logn = np.log(n)
     coeffs = logn**ell / n
     values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
+    return step, logn, coeffs, values
+
+
+def scan_max(
+    T: float,
+    ell: int,
+    grid_step: float,
+    refine: bool = False,
+    spec: ResonatorSpec | None = None,
+    quad: QuadratureSettings | None = None,
+) -> ScanReport:
+    """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
+
+    The step must satisfy grid_step <= pi/(4 log T) (see _scan_grid).
+    Ties in the grid maximum resolve to the smallest t.
+    """
+    step, logn, coeffs, values = _scan_grid(T, ell, grid_step)
     top = int(np.argmax(values))
     best_t = T + step * top
     best_v = float(values[top])
@@ -489,24 +464,12 @@ def scan_max(
         certificate_ratio=cert,
         theoretical_constant=theo,
         yang_constant=yang,
-        grid_points=count,
+        grid_points=values.size,
         refined=refined,
     )
 
 
 def scan_samples(T: float, ell: int, grid_step: float):
     """The (t, |P(t)|) grid that scan_max ranges over, for CSV dumps."""
-    if T < 2:
-        raise ValueError(f"need T >= 2, got {T}")
-    step_cap = math.pi / (4.0 * math.log(T))
-    if grid_step > step_cap:
-        raise ValueError(
-            f"grid_step {grid_step:.4g} too coarse: needs <= {step_cap:.4g}"
-        )
-    count = int(math.ceil(T / grid_step)) + 1
-    step = T / (count - 1)
-    n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
-    logn = np.log(n)
-    coeffs = logn**ell / n
-    values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
-    return T + step * np.arange(count), values
+    step, _, _, values = _scan_grid(T, ell, grid_step)
+    return T + step * np.arange(values.size), values

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 # Below this many source*target operations direct evaluation wins.
 DIRECT_LIMIT = 2_000_000
@@ -30,6 +29,26 @@ DIRECT_LIMIT = 2_000_000
 # _nufft_grid; with w=16 the kernel truncation and aliasing errors are both
 # around exp(-pi*w/sqrt(2)) ~ 4e-16 before deconvolution amplification.
 KERNEL_HALF_WIDTH = 16
+
+# The few-source route re-anchors its phases every this many grid points,
+# which keeps cumulative-product drift near direct evaluation's rounding.
+CUMPROD_CHUNK = 4096
+
+
+def next_smooth(n: int) -> int:
+    """The smallest integer >= n with prime factors 2, 3, 5 only."""
+    n, p5 = max(int(n), 1), 1
+    best = 1 << (n - 1).bit_length()  # the power of two >= n
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def exp_sum_at(omega: np.ndarray, coeffs: np.ndarray, t: float) -> complex:
@@ -55,8 +74,8 @@ class UniformGridPlan:
     """Reusable gridding plan: a fixed (omega, dt, count) geometry.
 
     The spreading kernel depends only on the phases dt*omega, so repeated
-    transforms with different coefficients or grid origins (the panel
-    offsets of composite quadrature) reuse all kernel tables.
+    transforms with different coefficients or grid origins reuse all
+    kernel tables.
     """
 
     def __init__(self, omega, dt: float, count: int):
@@ -67,7 +86,7 @@ class UniformGridPlan:
         w = KERNEL_HALF_WIDTH
         self.width = w
         self.shift = count // 2
-        self.mr = next_fast_len(2 * count + 4 * w + 8)
+        self.mr = next_smooth(2 * count + 4 * w + 8)
         self.tau = math.pi * w * math.sqrt(2.0) / self.mr**2
         h = 2.0 * math.pi / self.mr
         self.h = h
@@ -116,16 +135,15 @@ def _nufft_grid(omega, coeffs, t0, dt, count):
 def _cumprod_grid(omega, coeffs, t0, dt, count):
     """Few-source path: advance phases by cumulative products per chunk.
 
-    Chunks are re-anchored with a fresh exponential so rounding drift
-    stays at the chunk scale (~1e-11 radians), not the grid scale.
+    Chunks of ``CUMPROD_CHUNK`` points are re-anchored with a fresh
+    exponential so rounding drift stays at the chunk scale.
     """
     omega = np.asarray(omega, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    chunk = min(262_144, max(8_192, 4_000_000 // max(1, omega.size)))
     ratio = np.exp(-1j * dt * omega)
     out = np.empty(count, dtype=np.complex128)
-    for start in range(0, count, chunk):
-        n = min(chunk, count - start)
+    for start in range(0, count, CUMPROD_CHUNK):
+        n = min(CUMPROD_CHUNK, count - start)
         z = np.empty((omega.size, n), dtype=np.complex128)
         z[:, 0] = coeffs * np.exp(-1j * (t0 + start * dt) * omega)
         if n > 1:
@@ -145,9 +163,9 @@ def exp_sum_on_grid(
 ) -> np.ndarray:
     """S_k = sum_n c_n exp(-i (t0 + k dt) omega_n) for k = 0..count-1.
 
-    ``method`` forces "direct", "cumprod" or "nufft"; by default small
-    problems run direct, long grids over few sources use cumulative
-    phase products, and everything else goes through the gridded FFT.
+    ``method`` forces "direct", "cumprod" or "nufft"; by default few
+    sources (at most 64) use cumulative phase products, other small
+    problems run direct, and everything else goes through the gridded FFT.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if count < 1:
@@ -157,10 +175,13 @@ def exp_sum_on_grid(
     if method not in (None, "direct", "nufft", "cumprod"):
         raise ValueError(f"unknown method {method!r}")
     if method is None:
-        if omega.size * count <= DIRECT_LIMIT or count < 4 * KERNEL_HALF_WIDTH:
-            method = "direct"
-        elif omega.size <= 64:
+        if omega.size <= 64:
             method = "cumprod"
+        elif (
+            omega.size * count <= DIRECT_LIMIT
+            or count < 4 * KERNEL_HALF_WIDTH
+        ):
+            method = "direct"
         else:
             method = "nufft"
     if method == "direct":

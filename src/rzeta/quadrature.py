@@ -1,18 +1,22 @@
-"""Composite Gauss-Legendre quadrature with two-level refinement.
+"""Nested trapezoid rule with Romberg extrapolation.
 
-Panels are uniform, so the nodes decompose into ``order`` interleaved
-uniform grids (one per Gauss offset).  Integrand callbacks therefore
-receive (t0, dt, count) describing a full uniform grid rather than loose
-node arrays, which lets the engine evaluate Dirichlet polynomials on
-them with one FFT-gridded transform per offset.
-
-Refinement doubles the panel count until two consecutive levels agree to
-the requested relative tolerance; failure to converge raises
-:class:`~rzeta.errors.AccuracyError`.
+By Poisson summation the trapezoid rule's error is the integrand's
+Fourier transform at the nonzero multiples of 2*pi/h.  For a band-limited
+factor times a smooth compactly supported weight (the moment integrands)
+that is the weight's far tail once 2*pi/h clears the band (Trefethen &
+Weideman, SIAM Review 2014), so the first grid is sized from the
+caller's ``max_frequency``.  Each refinement halves the step and
+evaluates only the new midpoints; Romberg extrapolation over the levels
+handles integrands whose ends do not vanish.  Two successive diagonal
+entries must agree to the relative tolerance, else
+:class:`~rzeta.errors.AccuracyError`.  Integrands receive (t0, dt, count)
+describing a whole uniform grid, so the engine evaluates Dirichlet
+polynomials on it with one FFT-gridded transform per level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,89 +24,92 @@ import numpy as np
 
 from .errors import AccuracyError
 
+OVERSAMPLING = 1.2  # start-grid 2*pi/h over max_frequency
+
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Refinement policy for the oscillatory panel integrals."""
+    """Refinement policy for the oscillatory integrals."""
 
     rel_tol: float = 1e-8
-    gauss_order: int = 24
     max_level: int = 10
+    # Refusal before any level above this many integrand evaluations: the
+    # guard against out-of-memory runs at large T.
     max_nodes_per_level: int = 120_000_000
-    # Initial panels are sized so max_frequency * panel_width stays below
-    # this; the refinement loop is the actual accuracy guarantee.
-    init_panel_phase: float = 18.0
     # Agreement test uses rel_tol * max(|value|, abs_scale): leave 0 for a
     # purely relative test, set ~1 when tiny values (tail transforms) are
     # acceptable at absolute accuracy.
     abs_scale: float = 0.0
 
 
-def gauss_offsets(order: int):
-    """Gauss-Legendre nodes and weights mapped to the unit panel [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
-
-
 GridIntegrand = Callable[[float, float, int], np.ndarray]
 
 
 def _level_value(
-    f: GridIntegrand, a: float, width: float, panels: int, order: int
+    f: GridIntegrand,
+    a: float,
+    width: float,
+    panels: int,
+    order: int,
+    end_weight: float = 1.0,
 ) -> complex:
-    xi, wts = gauss_offsets(order)
-    total = 0.0 + 0.0j
-    for g in range(order):
-        vals = f(a + xi[g] * width, width, panels)
-        total += wts[g] * width * np.sum(vals)
-    return complex(total)
+    """width * sum of f over the grid a + k*width, k < panels*order, with
+    the first and last samples weighted by ``end_weight``.
+
+    The trapezoid rule passes ``order=1``: one node per panel.
+    """
+    vals = f(a, width, panels * order)
+    total = np.sum(vals)
+    if end_weight != 1.0:
+        total -= (1.0 - end_weight) * (vals[0] + vals[-1])
+    return complex(width * total)
+
+
+def _check_budget(nodes: int, settings: QuadratureSettings) -> None:
+    if nodes > settings.max_nodes_per_level:
+        raise AccuracyError(
+            f"quadrature level of {nodes} nodes exceeds the node budget "
+            f"{settings.max_nodes_per_level} (rel_tol={settings.rel_tol})"
+        )
 
 
 def integrate_refine(
     f: GridIntegrand,
     a: float,
     b: float,
-    init_panels: int,
+    max_frequency: float,
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> complex:
-    """Integrate f over [a, b], doubling panels until two levels agree.
+    """Integrate f over [a, b], halving the step until Romberg converges.
 
     ``f(t0, dt, count)`` must return integrand values on the uniform grid
-    t0 + k*dt, k < count.
+    t0 + k*dt, k < count.  ``max_frequency`` bounds the integrand's
+    angular frequencies; the first grid has 2*pi/h >= OVERSAMPLING times it.
     """
-    if b <= a:
+    if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    panels = max(1, int(init_panels))
-    if panels * settings.gauss_order > settings.max_nodes_per_level:
-        raise AccuracyError(
-            f"initial node count {panels * settings.gauss_order} exceeds "
-            f"budget {settings.max_nodes_per_level}"
-        )
-    prev = _level_value(f, a, (b - a) / panels, panels, settings.gauss_order)
-    for _ in range(settings.max_level):
-        panels *= 2
-        if panels * settings.gauss_order > settings.max_nodes_per_level:
-            raise AccuracyError(
-                "panel refinement exceeded the node budget before reaching "
-                f"rel_tol={settings.rel_tol}; last disagreement at "
-                f"{panels // 2} panels"
-            )
-        cur = _level_value(f, a, (b - a) / panels, panels, settings.gauss_order)
-        scale = max(abs(cur), settings.abs_scale, 1e-300)
-        if abs(cur - prev) <= settings.rel_tol * scale:
-            return cur
-        prev = cur
+    if not max_frequency >= 0:
+        raise ValueError(f"max_frequency must be >= 0, got {max_frequency}")
+    span = b - a
+    intervals = max(
+        2, math.ceil(OVERSAMPLING * max_frequency * span / (2 * math.pi))
+    )
+    _check_budget(intervals + 1, settings)
+    h = span / intervals
+    row = [_level_value(f, a, h, intervals + 1, 1, end_weight=0.5)]
+    for level in range(1, settings.max_level + 1):
+        _check_budget(intervals, settings)
+        midpoints = _level_value(f, a + 0.5 * h, h, intervals, 1)
+        h *= 0.5
+        intervals *= 2
+        new = [0.5 * (row[0] + midpoints)]
+        for k in range(1, level + 1):
+            new.append(new[k - 1] + (new[k - 1] - row[k - 1]) / (4**k - 1))
+        scale = max(abs(new[-1]), settings.abs_scale, 1e-300)
+        if abs(new[-1] - row[-1]) <= settings.rel_tol * scale:
+            return new[-1]
+        row = new
     raise AccuracyError(
         f"quadrature failed to converge to rel_tol={settings.rel_tol} "
         f"within {settings.max_level} refinements"
     )
-
-
-def initial_panels(
-    a: float, b: float, max_frequency: float, settings: QuadratureSettings
-) -> int:
-    """Panel count so that max_frequency * width <= init_panel_phase."""
-    span = b - a
-    if max_frequency <= 0:
-        return 4
-    return max(4, int(np.ceil(span * max_frequency / settings.init_panel_phase)))

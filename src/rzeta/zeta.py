@@ -23,10 +23,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import mpmath
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import AccuracyError
 
@@ -95,6 +96,12 @@ def _em_cut_for(im_s: float) -> int:
     return max(64, int(math.ceil(0.35 * abs(im_s))) + 32)
 
 
+@functools.lru_cache(maxsize=None)
+def _bernoulli_table(n: int) -> tuple:
+    """Exact Bernoulli numbers B_0..B_n as fractions, computed once per n."""
+    return tuple(Fraction(*mpmath.bernfrac(k)) for k in range(n + 1))
+
+
 def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
     """Boundary + Bernoulli corrections and the first-omitted-term bound.
 
@@ -104,18 +111,20 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
     logN = math.log(N)
     npow = np.exp(-s * logN)  # N^(-s)
     tail = npow * N / (s - 1.0) + 0.5 * npow
-    bern = bernoulli(2 * em_order + 2)
+    bern = _bernoulli_table(2 * em_order + 2)
     rising = s.copy()  # (s)_1 = s
     nshift = npow / N  # N^(-s-1)
     term = np.zeros_like(s)
     for r in range(1, em_order + 1):
-        coef = bern[2 * r] / math.factorial(2 * r)
+        coef = float(bern[2 * r] / math.factorial(2 * r))
         term = coef * rising * nshift
         tail = tail + term
         # extend rising factorial (s)_{2r-1} -> (s)_{2r+1}, N^(-s-2r+1) shift
         rising = rising * (s + 2 * r - 1) * (s + 2 * r)
         nshift = nshift / (N * N)
-    next_coef = abs(bern[2 * em_order + 2]) / math.factorial(2 * em_order + 2)
+    next_coef = float(
+        abs(bern[2 * em_order + 2]) / math.factorial(2 * em_order + 2)
+    )
     sigma = s.real
     ratio = np.abs(s + 2 * em_order + 1) / (sigma + 2 * em_order + 1)
     err = next_coef * np.abs(rising) * np.abs(nshift) * ratio

@@ -1,11 +1,13 @@
 """CLI behaviour: payloads, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rzeta
 from rzeta.cli import comparison_rows, run
 from rzeta.resonator import yang_factor
 
@@ -213,3 +215,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+@pytest.mark.parametrize("height", ["nan", "inf", "-inf", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factors", "--ellmax", "2"),
+        ("resonate", "--x", "3", "--b", "2", "--ell", "0"),
+        ("scan", "--ell", "0", "--step", "0.1"),
+        ("zeta", "--t", "1500", "--ell", "0"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_non_finite_or_nonpositive_T_exits_1(capsys, argv, height):
+    code, out, err = invoke(capsys, *argv, f"--T={height}", "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert "--T" in err and "finite and positive" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rzeta.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

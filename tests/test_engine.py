@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rzeta import quadrature
 from rzeta.engine import (
     PHI_HAT_ZERO,
     Certificate,
@@ -21,6 +22,7 @@ from rzeta.engine import (
     scan_samples,
     theorem_parameters,
 )
+from rzeta.errors import AccuracyError
 from rzeta.precision import EXP_GAMMA
 from rzeta.quadrature import QuadratureSettings, integrate_refine
 from rzeta.resonator import ResonatorSpec, enumerate_M
@@ -149,6 +151,85 @@ def test_quadrature_driver_on_tone():
     exact = (np.exp(1j * nu * b) - np.exp(1j * nu * a)) / (1j * nu)
     got = integrate_refine(f, a, b, 32, QuadratureSettings())
     assert got == pytest.approx(complex(exact), abs=1e-10)
+
+
+def test_quadrature_levels_evaluate_only_new_midpoints():
+    # a tone with non-vanishing ends needs several Romberg levels; every
+    # node of every level must be new, and together they fill the grid
+    a, b, nu = 0.0, 8.0, 3.0
+    calls = []
+
+    def f(t0, dt, count):
+        calls.append((t0, dt, count))
+        return np.exp(1j * nu * (t0 + dt * np.arange(count)))
+
+    got = integrate_refine(f, a, b, nu)
+    exact = (np.exp(1j * nu * b) - np.exp(1j * nu * a)) / (1j * nu)
+    assert got == pytest.approx(complex(exact), abs=1e-9)
+    assert len(calls) >= 4
+    first = calls[0][2] - 1  # intervals of the start grid
+    assert [c[2] for c in calls[1:]] == [
+        first * 2**j for j in range(len(calls) - 1)
+    ]
+    finest = calls[-1][1] / 2
+    index = np.concatenate(
+        [(t0 - a + dt * np.arange(count)) / finest for t0, dt, count in calls]
+    )
+    assert np.max(np.abs(index - np.rint(index))) < 1e-9
+    index = np.sort(np.rint(index).astype(int))
+    assert np.array_equal(index, np.arange(round((b - a) / finest) + 1))
+
+
+def test_certify_moments_converge_at_first_refinement(monkeypatch):
+    spec = ResonatorSpec(3, 3)
+    T = 2e4
+    levels = []
+    original = quadrature._level_value
+
+    def counting(f, a, width, panels, order, **kwargs):
+        levels.append(panels * order)
+        return original(f, a, width, panels, order, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_level_value", counting)
+    m1 = moment_M1(spec, T)
+    assert len(levels) == 2
+    moment_M2(spec, T, 1)
+    assert len(levels) == 4
+    assert abs(m1 / (0.75 * T * 9) - 1) <= 1e-12
+
+
+def test_quadrature_start_below_band_refines_or_refuses():
+    # (1 + e^(i nu t)) phi(t/T): a start grid whose step is exactly
+    # 2 pi/nu aliases the tone onto the constant, doubling it
+    T = 1000.0
+    nu = 2 * math.pi * 50 / T
+    ref = T * (PHI_HAT_ZERO + bump_phi_hat(-nu * T))
+
+    def f(t0, dt, count):
+        t = t0 + dt * np.arange(count)
+        return (1.0 + np.exp(1j * nu * t)) * bump_phi(t / T)
+
+    try:
+        got = integrate_refine(
+            f, T, 2 * T, 0.999999 * nu / quadrature.OVERSAMPLING
+        )
+    except AccuracyError:
+        return
+    assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def test_quadrature_node_budget_refuses_before_evaluating():
+    calls = []
+
+    def f(t0, dt, count):
+        calls.append(count)
+        return np.ones(count)
+
+    with pytest.raises(AccuracyError, match="budget"):
+        integrate_refine(
+            f, 0.0, 1e4, 50.0, QuadratureSettings(max_nodes_per_level=1000)
+        )
+    assert calls == []
 
 
 def test_moment_M1_trivial_resonator():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rzeta.gridsum import exp_sum_at, exp_sum_on_grid
+from rzeta.gridsum import exp_sum_at, exp_sum_on_grid, next_smooth
 
 
 def brute(omega, coeffs, t0, dt, count):
@@ -103,3 +103,35 @@ def test_plan_reuse_matches_oneshot():
         a = plan.run(coeffs, t0)
         b = exp_sum_on_grid(omega, coeffs, t0, 0.2, 3000, method="direct")
         assert np.max(np.abs(a - b)) < 1e-11 * np.sum(np.abs(coeffs))
+
+
+def test_few_sources_on_long_grid_take_cumprod():
+    # the 9-term resonator of M = divisors of 36 on the M2 grid over
+    # [T, 2T] at T = 2e4
+    omega = np.log(np.array([1, 2, 3, 4, 6, 9, 12, 18, 36], dtype=float))
+    coeffs = np.ones_like(omega)
+    t0, count = 2e4, 65_536
+    dt = t0 / count
+    auto = exp_sum_on_grid(omega, coeffs, t0, dt, count)
+    cumprod = exp_sum_on_grid(omega, coeffs, t0, dt, count, method="cumprod")
+    assert np.array_equal(auto, cumprod)
+    direct = exp_sum_on_grid(omega, coeffs, t0, dt, count, method="direct")
+    # both routes round each phase t*omega to about |t*omega| * 2^-53 rad,
+    # 1.6e-11 at t = 4e4; the routes agree within two of those per term
+    phase_ulp = 2 * t0 * omega.max() * 2.0**-53
+    gap = np.max(np.abs(auto - direct))
+    assert gap < 2 * phase_ulp * np.sum(np.abs(coeffs))
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11, 97, 1000, 1031, 131_144, 999_999])
+def test_next_smooth_is_smallest_5_smooth_at_least_n(n):
+    m = next_smooth(n)
+    assert m >= n and _is_5_smooth(m)
+    assert not any(_is_5_smooth(k) for k in range(n, m))

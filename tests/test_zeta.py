@@ -1,13 +1,16 @@
 """Dirichlet polynomial, Euler-Maclaurin zeta, Cauchy-circle derivatives."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from rzeta.errors import AccuracyError
 from rzeta.zeta import (
     EvalPoint,
+    _bernoulli_table,
     LinearGenerator,
     approx_error_probe,
     cauchy_derivative,
@@ -181,3 +184,11 @@ def test_probe_validation():
         approx_error_probe(50.0, 5, 0, seed=1)
     with pytest.raises(ValueError):
         approx_error_probe(1000.0, 0, 0, seed=1)
+
+
+def test_bernoulli_table_is_exact():
+    table = _bernoulli_table(26)
+    assert len(table) == 27
+    for k, value in enumerate(table):
+        assert value == Fraction(*mpmath.bernfrac(k))
+    assert _bernoulli_table(26) is table  # computed once
