@@ -52,9 +52,7 @@ def height(text: str) -> float:
     """argparse type for --T: a finite, positive float."""
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive: {text}"
-        )
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return value
 
 
@@ -81,9 +79,8 @@ def _jsonable(value, prec: Precision):
 def _emit(doc: dict, args, prec: Precision = DOUBLE) -> None:
     if not args.no_timestamp:
         doc = {**doc, "timestamp": datetime.now(timezone.utc).isoformat()}
-    text = json.dumps(
-        _jsonable(doc, prec), sort_keys=True, indent=2, allow_nan=False
-    )
+    doc = _jsonable(doc, prec)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     _write(text + "\n", args.output)
 
 

@@ -199,7 +199,8 @@ def moment_M1(
         u = (t0 + dt * np.arange(count)) / T
         return (r.real**2 + r.imag**2) * bump_phi(u)
 
-    nu_max = 2.0 * float(logs[-1]) + PHI_BAND / T
+    # |R|^2 has frequencies log(n/m), |log(n/m)| <= log max M.
+    nu_max = float(logs[-1]) + PHI_BAND / T
     value = integrate_refine(integrand, T, 2 * T, nu_max, quad)
     return float(value.real)
 
@@ -288,7 +289,8 @@ def moment_M2(
         u = (t0 + dt * np.arange(count)) / T
         return p * (r.real**2 + r.imag**2) * bump_phi(u)
 
-    nu_max = nu_poly + 2.0 * float(logs[-1]) + PHI_BAND / T
+    # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
+    nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
     return complex(integrate_refine(integrand, T, 2 * T, nu_max, quad))
 
 
@@ -381,11 +383,19 @@ def _golden_max(f, lo, hi, iterations=40):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _scan_grid(T: float, ell: int, grid_step: float):
-    """(step, logn, coeffs, |P|) on the [T, 2T] grid of a scan.
+def scan_max(
+    T: float,
+    ell: int,
+    grid_step: float,
+    refine: bool = False,
+    spec: ResonatorSpec | None = None,
+    quad: QuadratureSettings | None = None,
+) -> ScanReport:
+    """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
 
     The step must satisfy grid_step <= pi/(4 log T): the polynomial's
     bandwidth is log T, and this keeps inter-sample wiggle bounded.
+    Ties in the grid maximum resolve to the smallest t.
     """
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
@@ -399,27 +409,11 @@ def _scan_grid(T: float, ell: int, grid_step: float):
         raise ValueError(f"ell must be >= 0, got {ell}")
     count = int(math.ceil(T / grid_step)) + 1
     step = T / (count - 1)
+
     n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
     logn = np.log(n)
     coeffs = logn**ell / n
     values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
-    return step, logn, coeffs, values
-
-
-def scan_max(
-    T: float,
-    ell: int,
-    grid_step: float,
-    refine: bool = False,
-    spec: ResonatorSpec | None = None,
-    quad: QuadratureSettings | None = None,
-) -> ScanReport:
-    """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
-
-    The step must satisfy grid_step <= pi/(4 log T) (see _scan_grid).
-    Ties in the grid maximum resolve to the smallest t.
-    """
-    step, logn, coeffs, values = _scan_grid(T, ell, grid_step)
     top = int(np.argmax(values))
     best_t = T + step * top
     best_v = float(values[top])
@@ -464,12 +458,24 @@ def scan_max(
         certificate_ratio=cert,
         theoretical_constant=theo,
         yang_constant=yang,
-        grid_points=values.size,
+        grid_points=count,
         refined=refined,
     )
 
 
 def scan_samples(T: float, ell: int, grid_step: float):
     """The (t, |P(t)|) grid that scan_max ranges over, for CSV dumps."""
-    step, _, _, values = _scan_grid(T, ell, grid_step)
-    return T + step * np.arange(values.size), values
+    if T < 2:
+        raise ValueError(f"need T >= 2, got {T}")
+    step_cap = math.pi / (4.0 * math.log(T))
+    if grid_step > step_cap:
+        raise ValueError(
+            f"grid_step {grid_step:.4g} too coarse: needs <= {step_cap:.4g}"
+        )
+    count = int(math.ceil(T / grid_step)) + 1
+    step = T / (count - 1)
+    n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
+    logn = np.log(n)
+    coeffs = logn**ell / n
+    values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
+    return T + step * np.arange(count), values

@@ -37,18 +37,10 @@ CUMPROD_CHUNK = 4096
 
 def next_smooth(n: int) -> int:
     """The smallest integer >= n with prime factors 2, 3, 5 only."""
-    n, p5 = max(int(n), 1), 1
-    best = 1 << (n - 1).bit_length()  # the power of two >= n
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+    n = max(int(n), 1)
+    bits = n.bit_length() + 1  # every 3^i 5^j below 2n has i, j < bits
+    odd = (3**i * 5**j for i in range(bits) for j in range(bits))
+    return min(p << ((n - 1) // p).bit_length() for p in odd)
 
 
 def exp_sum_at(omega: np.ndarray, coeffs: np.ndarray, t: float) -> complex:

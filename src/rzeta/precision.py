@@ -120,3 +120,18 @@ def rexp(x, prec: Precision = DOUBLE):
     with mpmath.workdps(prec.digits):
         return mpmath.exp(x)
 
+
+def rsum(terms, prec: Precision = DOUBLE):
+    """Accurate sum: exact (fsum) in double mode, plain mpf sum otherwise.
+
+    In high-precision mode callers are responsible for feeding terms in
+    the order required by their contract (e.g. descending k for the
+    resonator sums).
+    """
+    if prec.is_double:
+        return math.fsum(terms)
+    with mpmath.workdps(prec.digits):
+        acc = mpmath.mpf(0)
+        for t in terms:
+            acc += t
+        return acc

@@ -122,9 +122,7 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
         # extend rising factorial (s)_{2r-1} -> (s)_{2r+1}, N^(-s-2r+1) shift
         rising = rising * (s + 2 * r - 1) * (s + 2 * r)
         nshift = nshift / (N * N)
-    next_coef = float(
-        abs(bern[2 * em_order + 2]) / math.factorial(2 * em_order + 2)
-    )
+    next_coef = float(abs(bern[-1]) / math.factorial(2 * em_order + 2))
     sigma = s.real
     ratio = np.abs(s + 2 * em_order + 1) / (sigma + 2 * em_order + 1)
     err = next_coef * np.abs(rising) * np.abs(nshift) * ratio

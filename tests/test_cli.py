@@ -235,6 +235,16 @@ def test_non_finite_or_nonpositive_T_exits_1(capsys, argv, height):
     assert "--T" in err and "finite and positive" in err
 
 
+def test_resonate_beyond_node_budget_exits_2(capsys):
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "3", "--b", "3", "--T", "1e7",
+        "--ell", "1", "--no-timestamp",
+    )
+    assert code == 2  # accuracy failure, refused before any integrand call
+    assert out == ""
+    assert "node budget" in err
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
     proc = subprocess.run(

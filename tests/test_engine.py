@@ -198,24 +198,26 @@ def test_certify_moments_converge_at_first_refinement(monkeypatch):
     assert abs(m1 / (0.75 * T * 9) - 1) <= 1e-12
 
 
-def test_quadrature_start_below_band_refines_or_refuses():
+def test_quadrature_start_below_band_refines():
     # (1 + e^(i nu t)) phi(t/T): a start grid whose step is exactly
-    # 2 pi/nu aliases the tone onto the constant, doubling it
+    # 2 pi/nu aliases the tone onto the constant, doubling it; the
+    # midpoint levels no longer alias, and Romberg converges to the truth
     T = 1000.0
     nu = 2 * math.pi * 50 / T
     ref = T * (PHI_HAT_ZERO + bump_phi_hat(-nu * T))
+    calls = []
 
     def f(t0, dt, count):
+        calls.append(count)
         t = t0 + dt * np.arange(count)
         return (1.0 + np.exp(1j * nu * t)) * bump_phi(t / T)
 
-    try:
-        got = integrate_refine(
-            f, T, 2 * T, 0.999999 * nu / quadrature.OVERSAMPLING
-        )
-    except AccuracyError:
-        return
-    assert abs(got - ref) <= 1e-8 * abs(ref)
+    got = integrate_refine(
+        f, T, 2 * T, 0.999999 * nu / quadrature.OVERSAMPLING
+    )
+    assert calls[0] == 51  # 50 intervals of 2 pi/nu: the aliased start
+    assert len(calls) > 3  # not accepted at the first refinements
+    assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_quadrature_node_budget_refuses_before_evaluating():
@@ -230,6 +232,25 @@ def test_quadrature_node_budget_refuses_before_evaluating():
             f, 0.0, 1e4, 50.0, QuadratureSettings(max_nodes_per_level=1000)
         )
     assert calls == []
+
+
+def test_default_node_budget_refuses_large_T_before_evaluating(monkeypatch):
+    # the default budget is the out-of-memory guard for user-supplied T:
+    # M1 at T = 1e7 needs 6.8M nodes and M2 at T = 3e6 10.6M per level
+    levels = []
+    original = quadrature._level_value
+
+    def counting(f, a, width, panels, order, **kwargs):
+        levels.append(panels * order)
+        return original(f, a, width, panels, order, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_level_value", counting)
+    spec = ResonatorSpec(3, 3)
+    with pytest.raises(AccuracyError, match="budget"):
+        moment_M1(spec, 1e7)
+    with pytest.raises(AccuracyError, match="budget"):
+        moment_M2(spec, 3e6, 1)
+    assert levels == []
 
 
 def test_moment_M1_trivial_resonator():
