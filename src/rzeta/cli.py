@@ -30,6 +30,7 @@ from .resonator import (
     ResonatorSpec,
     S_brute,
     S_jet,
+    bound_constants,
     layer_product,
     proposition_report,
     yang_factor,
@@ -118,7 +119,7 @@ def _cmd_ssum(args, prec):
     spec = ResonatorSpec(args.x, args.b)
     doc = {"x": args.x, "b": args.b, "ell": args.ell, "method": args.method}
     if args.method in ("brute", "both"):
-        doc["S_brute"] = S_brute(spec, args.ell, cap=args.cap, prec=prec)
+        doc["S_brute"] = S_brute(spec, args.ell, prec=prec)
     if args.method in ("jet", "both"):
         doc["S_jet"] = S_jet(spec, args.ell, prec=prec)
     if args.method == "both":
@@ -216,15 +217,9 @@ def comparison_rows(ell_max: int, T: float) -> list[dict]:
         raise ValueError(f"need ell_max >= 1, got {ell_max}")
     if T <= math.exp(math.e):
         raise ValueError(f"need T > e^e, got {T}")
-    eg = constants().exp_gamma
-    log2T = iterated_log(T, 2)
-    log3T = iterated_log(T, 3)
     rows = []
     for ell in range(ell_max + 1):
-        new_bound = eg / (ell + 1) * log2T ** (ell + 1)
-        yang_bound = (
-            eg * ell**ell / (ell + 1) ** (ell + 1) * (log2T - log3T) ** (ell + 1)
-        )
+        new_bound, yang_bound = bound_constants(ell, T)
         rows.append(
             {
                 "ell": ell,
@@ -292,7 +287,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--method", choices=("brute", "jet", "both"), default="jet")
-    p.add_argument("--cap", type=int, default=10**6)
     p.set_defaults(func=_cmd_ssum)
 
     p = sub.add_parser(

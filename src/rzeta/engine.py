@@ -34,17 +34,22 @@ import numpy as np
 
 from .errors import AccuracyError
 from .gridsum import exp_sum_on_grid
-from .precision import EXP_GAMMA
 from .primes import iterated_log
 from .quadrature import QuadratureSettings, integrate_refine
 from .resonator import (
     FactoredElement,
     ResonatorSpec,
+    bound_constants,
     enumerate_M,
     max_element,
     s_over_cardinality_jet,
 )
-from .zeta import _em_cut_for, _em_tail_terms
+from .zeta import (
+    _em_cut_for,
+    _em_tail_terms,
+    cauchy_ring,
+    dirichlet_coefficients,
+)
 
 ENGINE_ELEMENT_CAP = 4096
 
@@ -77,23 +82,24 @@ def bump_phi(t):
 # band-limited to PHI_BAND / T in the moment integrands.
 PHI_BAND = 2000.0
 
+# phihat's far tail is tiny, so its agreement test is absolute.
+_PHI_HAT_QUAD = QuadratureSettings(rel_tol=1e-10, abs_scale=1.0)
 
-def bump_phi_hat(
-    xi: float, settings: QuadratureSettings | None = None
-) -> complex:
+
+def bump_phi_hat(xi: float) -> complex:
     """phihat(xi) = integral phi(u) exp(-i xi u) du by the trapezoid rule.
 
     Convention: with this sign, integral (m/n)^(it) phi(t/T) dt equals
     T * phihat(T log(n/m)).
     """
-    if settings is None:
-        settings = QuadratureSettings(rel_tol=1e-10, abs_scale=1.0)
 
     def integrand(t0, dt, count):
         u = t0 + dt * np.arange(count)
         return bump_phi(u) * np.exp(-1j * xi * u)
 
-    return integrate_refine(integrand, 1.0, 2.0, abs(xi) + PHI_BAND, settings)
+    return integrate_refine(
+        integrand, 1.0, 2.0, abs(xi) + PHI_BAND, _PHI_HAT_QUAD
+    )
 
 
 PHI_HAT_ZERO = 0.75  # exact: plateau 1/2 plus two transitions of 1/8 each
@@ -144,13 +150,7 @@ def theorem_parameters(T: float) -> TheoremParameters:
             stacklevel=2,
         )
     else:
-        peak = max_element(ResonatorSpec(x, b))
-        if peak * peak > T:
-            warnings.warn(
-                f"max resonator element {peak} exceeds sqrt(T)",
-                ParameterWarning,
-                stacklevel=2,
-            )
+        _warn_if_peak_large(ResonatorSpec(x, b), T)
     return TheoremParameters(T=float(T), x=x, b=b, J=J)
 
 
@@ -183,14 +183,11 @@ def _warn_if_peak_large(spec: ResonatorSpec, T: float):
 
 # ---------------------------------------------------------------- moments --
 
-def moment_M1(
-    spec: ResonatorSpec, T: float, quad: QuadratureSettings | None = None
-) -> float:
+def moment_M1(spec: ResonatorSpec, T: float) -> float:
     """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by the trapezoid rule."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     _warn_if_peak_large(spec, T)
-    quad = quad or QuadratureSettings()
     logs = _resonator_logs(spec)
     ones = np.ones_like(logs)
 
@@ -201,15 +198,13 @@ def moment_M1(
 
     # |R|^2 has frequencies log(n/m), |log(n/m)| <= log max M.
     nu_max = float(logs[-1]) + PHI_BAND / T
-    value = integrate_refine(integrand, T, 2 * T, nu_max, quad)
+    value = integrate_refine(integrand, T, 2 * T, nu_max)
     return float(value.real)
 
 
 def _dirichlet_grid_evaluator(T: float, ell: int):
     """Returns f(t0, dt, count) -> P(t) on uniform grids."""
-    n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
-    logn = np.log(n)
-    coeffs = logn**ell / n
+    logn, coeffs = dirichlet_coefficients(T, ell)
 
     def evaluate(t0, dt, count):
         return exp_sum_on_grid(logn, coeffs, t0, dt, count)
@@ -225,13 +220,7 @@ def _cauchy_grid_evaluator(T: float, ell: int, radius: float, nodes: int):
     cut = _em_cut_for(2 * T + radius) + 2 * em_order
     n = np.arange(1, cut, dtype=np.float64)
     logn = np.log(n)
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = radius * np.exp(1j * theta)  # s = 1 + ring + i t
-    cauchy_w = (
-        math.factorial(ell)
-        / (nodes * radius**ell)
-        * np.exp(-1j * ell * theta)
-    )
+    ring, cauchy_w = cauchy_ring(ell, radius, nodes)  # s = 1 + ring + i t
     # Collapse the circle into per-n coefficients: sum_j w_j n^(-1-ring_j)
     coeffs = np.zeros(logn.size, dtype=np.complex128)
     for j in range(nodes):
@@ -259,7 +248,6 @@ def moment_M2(
     spec: ResonatorSpec,
     T: float,
     ell: int,
-    quad: QuadratureSettings | None = None,
     integrand_mode: str = "dirichlet",
 ) -> complex:
     """integral of the zeta-derivative stand-in times |R|^2 phi(t/T).
@@ -275,7 +263,6 @@ def moment_M2(
     if integrand_mode not in ("dirichlet", "oracle"):
         raise ValueError(f"unknown integrand mode {integrand_mode!r}")
     _warn_if_peak_large(spec, T)
-    quad = quad or QuadratureSettings()
     logs = _resonator_logs(spec)
     ones = np.ones_like(logs)
     if integrand_mode == "dirichlet":
@@ -291,7 +278,7 @@ def moment_M2(
 
     # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
     nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
-    return complex(integrate_refine(integrand, T, 2 * T, nu_max, quad))
+    return complex(integrate_refine(integrand, T, 2 * T, nu_max))
 
 
 # ------------------------------------------------------------ certificate --
@@ -312,12 +299,7 @@ class Certificate:
         }
 
 
-def certificate(
-    spec: ResonatorSpec,
-    T: float,
-    ell: int,
-    quad: QuadratureSettings | None = None,
-) -> Certificate:
+def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     """|M2|/M1 (a rigorous lower bound for the windowed sup of |P|) next
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
     """
@@ -326,8 +308,8 @@ def certificate(
         raise ValueError(
             f"max resonator element {peak} exceeds sqrt(T) = {math.sqrt(T):.1f}"
         )
-    m1 = moment_M1(spec, T, quad)
-    m2 = moment_M2(spec, T, ell, quad, integrand_mode="dirichlet")
+    m1 = moment_M1(spec, T)
+    m2 = moment_M2(spec, T, ell, integrand_mode="dirichlet")
     rhs = float(s_over_cardinality_jet(spec, ell))
     return Certificate(
         ratio=abs(m2) / m1, rhs_prediction=rhs, M1=m1, M2_abs=abs(m2)
@@ -389,13 +371,60 @@ def scan_max(
     grid_step: float,
     refine: bool = False,
     spec: ResonatorSpec | None = None,
-    quad: QuadratureSettings | None = None,
 ) -> ScanReport:
     """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
 
+    The grid is :func:`scan_samples`'s.  Ties in the grid maximum resolve
+    to the smallest t.
+    """
+    t_grid, values = scan_samples(T, ell, grid_step)
+    count = t_grid.size
+    step = T / (count - 1)
+    top = int(np.argmax(values))
+    best_t = float(t_grid[top])
+    best_v = float(values[top])
+
+    if refine:
+        logn, coeffs = dirichlet_coefficients(T, ell)
+
+        def amplitude(t):
+            return float(
+                np.abs(np.sum(coeffs * np.exp(-1j * t * logn)))
+            )
+
+        order = np.argsort(values)[::-1][:10]
+        for idx in order:
+            center = float(t_grid[idx])
+            lo = max(T, center - step)
+            hi = min(2 * T, center + step)
+            t_star, v_star = _golden_max(amplitude, lo, hi)
+            if v_star > best_v or (v_star == best_v and t_star < best_t):
+                best_t, best_v = t_star, v_star
+
+    cert = None
+    if spec is not None:
+        cert = certificate(spec, T, ell).ratio
+
+    theo, yang = bound_constants(ell, T)
+    return ScanReport(
+        T=float(T),
+        ell=ell,
+        grid_step=step,
+        argmax_t=best_t,
+        max_value=best_v,
+        certificate_ratio=cert,
+        theoretical_constant=theo,
+        yang_constant=yang,
+        grid_points=count,
+        refined=refine,
+    )
+
+
+def scan_samples(T: float, ell: int, grid_step: float):
+    """The (t, |P(t)|) grid over [T, 2T] that :func:`scan_max` ranges over.
+
     The step must satisfy grid_step <= pi/(4 log T): the polynomial's
     bandwidth is log T, and this keeps inter-sample wiggle bounded.
-    Ties in the grid maximum resolve to the smallest t.
     """
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
@@ -409,73 +438,6 @@ def scan_max(
         raise ValueError(f"ell must be >= 0, got {ell}")
     count = int(math.ceil(T / grid_step)) + 1
     step = T / (count - 1)
-
-    n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
-    logn = np.log(n)
-    coeffs = logn**ell / n
-    values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
-    top = int(np.argmax(values))
-    best_t = T + step * top
-    best_v = float(values[top])
-
-    refined = False
-    if refine:
-        refined = True
-
-        def amplitude(t):
-            return float(
-                np.abs(np.sum(coeffs * np.exp(-1j * t * logn)))
-            )
-
-        order = np.argsort(values)[::-1][:10]
-        for idx in order:
-            center = T + step * int(idx)
-            lo = max(T, center - step)
-            hi = min(2 * T, center + step)
-            t_star, v_star = _golden_max(amplitude, lo, hi)
-            if v_star > best_v or (v_star == best_v and t_star < best_t):
-                best_t, best_v = t_star, v_star
-
-    cert = None
-    if spec is not None:
-        cert = certificate(spec, T, ell, quad).ratio
-
-    log2T = iterated_log(T, 2)
-    log3T = iterated_log(T, 3)
-    theo = EXP_GAMMA / (ell + 1) * log2T ** (ell + 1)
-    yang = (
-        EXP_GAMMA
-        * ell**ell
-        / (ell + 1) ** (ell + 1)
-        * (log2T - log3T) ** (ell + 1)
-    )
-    return ScanReport(
-        T=float(T),
-        ell=ell,
-        grid_step=step,
-        argmax_t=best_t,
-        max_value=best_v,
-        certificate_ratio=cert,
-        theoretical_constant=theo,
-        yang_constant=yang,
-        grid_points=count,
-        refined=refined,
-    )
-
-
-def scan_samples(T: float, ell: int, grid_step: float):
-    """The (t, |P(t)|) grid that scan_max ranges over, for CSV dumps."""
-    if T < 2:
-        raise ValueError(f"need T >= 2, got {T}")
-    step_cap = math.pi / (4.0 * math.log(T))
-    if grid_step > step_cap:
-        raise ValueError(
-            f"grid_step {grid_step:.4g} too coarse: needs <= {step_cap:.4g}"
-        )
-    count = int(math.ceil(T / grid_step)) + 1
-    step = T / (count - 1)
-    n = np.arange(1, int(math.floor(T)) + 1, dtype=np.float64)
-    logn = np.log(n)
-    coeffs = logn**ell / n
+    logn, coeffs = dirichlet_coefficients(T, ell)
     values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
     return T + step * np.arange(count), values

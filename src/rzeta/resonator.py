@@ -38,6 +38,7 @@ import numpy as np
 
 from .jets import derivative_from_jet, jet_product, local_factor_jet
 from .precision import DOUBLE, Precision, constants, real, rlog
+from .primes import iterated_log
 
 ENUMERATION_CAP = 10**6
 
@@ -60,8 +61,8 @@ class ResonatorSpec:
     J: int = 1
 
     def __post_init__(self):
-        if self.x < 2:
-            raise ValueError(f"x must be >= 2, got {self.x}")
+        if not (math.isfinite(self.x) and self.x >= 2):
+            raise ValueError(f"x must be finite and >= 2, got {self.x}")
         if self.b < 1:
             raise ValueError(f"b must be >= 1, got {self.b}")
         if self.J < 1:
@@ -120,17 +121,21 @@ def max_element(spec: ResonatorSpec) -> int:
     return v
 
 
-def enumerate_M(
-    spec: ResonatorSpec, cap: int = ENUMERATION_CAP
-) -> list[FactoredElement]:
-    """All elements of M, each exactly once, in lexicographic exponent
-    order (first prime slowest).  Refuses when b^pi(x) exceeds ``cap``."""
+def _refuse_over_cap(spec: ResonatorSpec, cap: int) -> None:
     size = resonator_cardinality(spec)
     if size > cap:
         raise ValueError(
             f"|M| = {size} exceeds enumeration cap {cap}; "
             "raise cap explicitly if this is intentional"
         )
+
+
+def enumerate_M(
+    spec: ResonatorSpec, cap: int = ENUMERATION_CAP
+) -> list[FactoredElement]:
+    """All elements of M, each exactly once, in lexicographic exponent
+    order (first prime slowest).  Refuses when b^pi(x) exceeds ``cap``."""
+    _refuse_over_cap(spec, cap)
     primes = spec.primes
     return [
         FactoredElement(primes, exps)
@@ -157,12 +162,7 @@ def _element_arrays(spec: ResonatorSpec, cap: int):
     exceeds the double range come out as inf; their reciprocal terms are
     below double resolution of any total here, so they sum as 0.
     """
-    size = resonator_cardinality(spec)
-    if size > cap:
-        raise ValueError(
-            f"|M| = {size} exceeds enumeration cap {cap}; "
-            "raise cap explicitly if this is intentional"
-        )
+    _refuse_over_cap(spec, cap)
     k = np.array([1.0])
     logk = np.array([0.0])
     w = np.array([1.0])
@@ -398,6 +398,17 @@ def yang_factor(ell: int) -> float:
     if ell < 1:
         raise ValueError(f"factor undefined for ell={ell}; needs ell >= 1")
     return math.exp(ell * math.log1p(1.0 / ell))
+
+
+def bound_constants(ell: int, T: float) -> tuple[float, float]:
+    """The improved main term e^gamma/(l+1) (log_2 T)^(l+1) and Yang's
+    e^gamma l^l/(l+1)^(l+1) (log_2 T - log_3 T)^(l+1), in double."""
+    eg = constants().exp_gamma
+    log2T = iterated_log(T, 2)
+    log3T = iterated_log(T, 3)
+    new = eg / (ell + 1) * log2T ** (ell + 1)
+    yang = eg * ell**ell / (ell + 1) ** (ell + 1) * (log2T - log3T) ** (ell + 1)
+    return new, yang
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,10 @@ class EvalPoint:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {self.t}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        if not (math.isfinite(self.cutoff) and self.cutoff >= 1):
+            raise ValueError(
+                f"cutoff must be finite and >= 1, got {self.cutoff}"
+            )
         if not 0 <= self.ell <= self.max_order:
             raise ValueError(
                 f"ell={self.ell} outside [0, {self.max_order}]"
@@ -79,13 +81,19 @@ class EvalPoint:
             )
 
 
+def dirichlet_coefficients(cutoff: float, ell: int):
+    """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
+    frequencies and coefficients of the polynomial P."""
+    n = np.arange(1, int(math.floor(cutoff)) + 1, dtype=np.float64)
+    logn = np.log(n)
+    return logn, logn**ell / n
+
+
 def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:
     """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), ascending n, fsum."""
     if check_range:
         point.warn_if_off_range()
-    n = np.arange(1, int(math.floor(point.cutoff)) + 1, dtype=np.float64)
-    logn = np.log(n)
-    w = logn**point.ell / n
+    logn, w = dirichlet_coefficients(point.cutoff, point.ell)
     vals = w * np.exp(-1j * point.t * logn)
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
@@ -169,6 +177,20 @@ def zeta_em(s: complex, em_order: int = 12, cut: int | None = None) -> complex:
 
 # ------------------------------------------------------- Cauchy circles --
 
+def cauchy_ring(ell: int, radius: float, nodes: int):
+    """Offsets r e^(i theta_j) of an n-node circle and the trapezoid weights
+    l!/(n r^l) e^(-i l theta_j) that turn values on it into an l-th
+    derivative.  The even nodes of a 2n-node ring are the n-node ring."""
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    scale = math.factorial(ell) / (nodes * radius**ell)
+    return radius * np.exp(1j * theta), scale * np.exp(-1j * ell * theta)
+
+
+def _weighted_fsum(vals: np.ndarray, weights: np.ndarray) -> complex:
+    terms = vals * weights
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
 def cauchy_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     s0: complex,
@@ -179,17 +201,14 @@ def cauchy_derivative(
     """f^(ell)(s0) by the trapezoid rule on a circle of given radius.
 
     f must accept an array of complex points.  No convergence check here;
-    :func:`zeta_deriv_cauchy` wraps this with the two-grid test.
+    :func:`zeta_deriv_cauchy` runs the two-grid test.
     """
     if nodes < 16:
         raise ValueError(f"need at least 16 nodes, got {nodes}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = s0 + radius * np.exp(1j * theta)
-    vals = f(ring) * np.exp(-1j * ell * theta)
-    mean = complex(math.fsum(vals.real), math.fsum(vals.imag)) / nodes
-    return math.factorial(ell) / radius**ell * mean
+    offsets, weights = cauchy_ring(ell, radius, nodes)
+    return _weighted_fsum(f(s0 + offsets), weights)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -197,17 +216,8 @@ def _zeta_ring_values(
     s0r: float, s0i: float, radius: float, nodes: int
 ) -> tuple:
     """Cached zeta values on the circle; shared across derivative orders."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = complex(s0r, s0i) + radius * np.exp(1j * theta)
-    return tuple(zeta_em_array(ring))
-
-
-def _ring_derivative(s0: complex, ell: int, radius: float, nodes: int) -> complex:
-    vals = np.array(_zeta_ring_values(s0.real, s0.imag, radius, nodes))
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    terms = vals * np.exp(-1j * ell * theta)
-    mean = complex(math.fsum(terms.real), math.fsum(terms.imag)) / nodes
-    return math.factorial(ell) / radius**ell * mean
+    offsets, _ = cauchy_ring(0, radius, nodes)
+    return tuple(zeta_em_array(complex(s0r, s0i) + offsets))
 
 
 def zeta_deriv_cauchy(
@@ -216,7 +226,11 @@ def zeta_deriv_cauchy(
     radius: float = 0.25,
     nodes: int = 64,
 ) -> complex:
-    """zeta^(ell)(s0) with a mandatory nodes vs 2*nodes agreement check."""
+    """zeta^(ell)(s0) with a mandatory nodes vs 2*nodes agreement check.
+
+    One 2*nodes ring is evaluated; the nodes-point rule is its even nodes
+    at twice the weight.
+    """
     s0 = complex(s0)
     if nodes < 16:
         raise ValueError(f"need at least 16 nodes, got {nodes}")
@@ -226,8 +240,10 @@ def zeta_deriv_cauchy(
         )
     if s0.real - radius <= 0:
         raise ValueError("circle dips into Re(s) <= 0, outside the oracle range")
-    coarse = _ring_derivative(s0, ell, radius, nodes)
-    fine = _ring_derivative(s0, ell, radius, 2 * nodes)
+    vals = np.array(_zeta_ring_values(s0.real, s0.imag, radius, 2 * nodes))
+    _, weights = cauchy_ring(ell, radius, 2 * nodes)
+    fine = _weighted_fsum(vals, weights)
+    coarse = 2.0 * _weighted_fsum(vals[::2], weights[::2])
     if abs(fine - coarse) > 1e-8:
         raise AccuracyError(
             f"Cauchy two-grid disagreement {abs(fine - coarse):.3e} > 1e-8 "

@@ -196,6 +196,25 @@ def test_high_precision_flag(capsys):
     assert doc["S"].startswith("5.8333333333")
 
 
+def test_precision_above_50_digits(capsys):
+    code, out, err = invoke(
+        capsys,
+        "ssum", "--x", "3", "--b", "2", "--ell", "0",
+        "--precision", "60", "--no-timestamp",
+    )
+    assert code == 0, err
+    assert json.loads(out)["S"] == "5.8" + "3" * 58
+
+
+def test_ssum_cap_flag_is_gone(capsys):
+    code, out, err = invoke(
+        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "0", "--cap", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--cap" in err
+
+
 def test_env_precision(capsys, monkeypatch):
     monkeypatch.setenv("RZ_PRECISION", "50")
     code, out, _ = invoke(
@@ -215,6 +234,42 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
+
+
+def test_scan_csv_rejects_negative_ell(capsys):
+    code, out, err = invoke(
+        capsys,
+        "scan", "--T", "1000", "--ell", "-1", "--step", "0.1", "--csv",
+        "--no-timestamp",
+    )
+    assert code == 1
+    assert out == ""
+    assert "ell" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ssum", "--x", "3", "--b", "2", "--ell", "0", "--precision", "60"),
+        ("resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "1"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_output_does_not_depend_on_asserts(argv):
+    # python -O strips assert statements: no check may live in one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "rzeta.cli", *argv,
+             "--no-timestamp"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("height", ["nan", "inf", "-inf", "0", "-5"])

@@ -3,9 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from rzeta.precision import HIGH, check_constants, constants
+from rzeta import precision
+from rzeta.errors import AccuracyError
+from rzeta.precision import HIGH, Precision, check_constants, constants
 from rzeta.primes import (
     PrimeTable,
     iterated_log,
@@ -141,6 +144,24 @@ def test_constants_self_check():
     c = constants()
     assert c.euler_gamma == pytest.approx(0.5772156649015329, abs=1e-16)
     assert math.exp(c.euler_gamma) == pytest.approx(c.exp_gamma, rel=1e-15)
+
+
+@pytest.mark.parametrize("digits", [50, 60, 120])
+def test_high_precision_gamma_has_every_digit(digits):
+    prec = Precision(digits)
+    check_constants(prec)
+    c = constants(prec)
+    with mpmath.workdps(digits + 10):
+        tol = mpmath.mpf(10) ** -digits
+        assert abs(c.euler_gamma / mpmath.euler - 1) <= tol
+        assert abs(c.exp_gamma / mpmath.exp(mpmath.euler) - 1) <= tol
+
+
+def test_constant_drift_raises_accuracy_error(monkeypatch):
+    # a literal correct to only 20 digits must fail the 48-digit check
+    monkeypatch.setattr(precision, "EULER_GAMMA_STR", "0.57721566490153286061")
+    with pytest.raises(AccuracyError, match="self-check"):
+        check_constants(HIGH)
 
 
 def test_high_precision_mertens():

@@ -102,6 +102,14 @@ def test_enumerate_small_sets():
 def test_enumerate_cap_refusal():
     with pytest.raises(ValueError, match="cap"):
         enumerate_M(ResonatorSpec(30, 4), cap=1000)
+    with pytest.raises(ValueError, match="cap"):
+        S_brute(ResonatorSpec(30, 4), 0, cap=1000)  # the array route
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        ResonatorSpec(x, 2)
 
 
 def test_element_log_roundtrip():

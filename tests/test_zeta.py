@@ -12,8 +12,10 @@ from rzeta.zeta import (
     EvalPoint,
     _bernoulli_table,
     LinearGenerator,
+    _zeta_ring_values,
     approx_error_probe,
     cauchy_derivative,
+    cauchy_ring,
     dirichlet_poly,
     zeta_deriv_cauchy,
     zeta_em,
@@ -64,6 +66,12 @@ def test_evalpoint_validation():
     with pytest.raises(ValueError):
         EvalPoint(1.0, 9, 10.0)
     EvalPoint(1.0, 9, 10.0, max_order=12)  # configurable ceiling
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+def test_evalpoint_rejects_non_finite_cutoff(cutoff):
+    with pytest.raises(ValueError, match="finite"):
+        EvalPoint(1.0, 0, cutoff)
 
 
 def test_evalpoint_advisory_warning():
@@ -152,6 +160,42 @@ def test_zeta_deriv_cauchy_at_2():
 def test_zeta_deriv_cauchy_pole_guard():
     with pytest.raises(ValueError):
         zeta_deriv_cauchy(1.1 + 0j, 0, radius=0.25)
+
+
+def test_zeta_deriv_cauchy_refuses_two_grid_gap_near_pole():
+    # 0.05 from the circle to the pole: 64 and 128 nodes disagree, and
+    # the reported gap is the gap between the two plain trapezoid rules
+    s0 = 1.3 + 0j
+    gap = abs(
+        cauchy_derivative(zeta_em_array, s0, 0, nodes=128)
+        - cauchy_derivative(zeta_em_array, s0, 0, nodes=64)
+    )
+    assert gap > 1e-8
+    with pytest.raises(AccuracyError, match=f"{gap:.3e}"):
+        zeta_deriv_cauchy(s0, 0)
+
+
+def test_coarse_check_is_the_even_nodes_of_the_fine_ring():
+    s0, ell, n = 1 + 700j, 2, 64
+    fine_offsets, fine_weights = cauchy_ring(ell, 0.25, 2 * n)
+    offsets, weights = cauchy_ring(ell, 0.25, n)
+    assert np.array_equal(fine_offsets[::2], offsets)
+    assert np.array_equal(2 * fine_weights[::2], weights)
+    value = zeta_deriv_cauchy(s0, ell)
+    fine = cauchy_derivative(zeta_em_array, s0, ell, nodes=2 * n)
+    assert abs(value - fine) <= 1e-13
+    ring = np.array(_zeta_ring_values(s0.real, s0.imag, 0.25, 2 * n))
+    from_even = cauchy_derivative(lambda z: ring[::2], s0, ell, nodes=n)
+    direct = cauchy_derivative(zeta_em_array, s0, ell, nodes=n)
+    assert abs(from_even - direct) <= 1e-13
+
+
+def test_one_ring_evaluation_per_height():
+    misses = _zeta_ring_values.cache_info().misses
+    for k, t in enumerate((1234.5, 1345.6, 1456.7), start=1):
+        for ell in (0, 1, 2):
+            zeta_deriv_cauchy(1 + 1j * t, ell)
+        assert _zeta_ring_values.cache_info().misses == misses + k
 
 
 def test_lcg_reference_sequence():
