@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import mpmath
@@ -38,6 +39,7 @@ from .resonator import (
 from .zeta import EvalPoint, dirichlet_poly, zeta_deriv_cauchy
 
 ENV_PRECISION = "RZ_PRECISION"
+MAX_TABLE_ELL = 1000  # largest ell_max of the constant-comparison table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,17 +135,8 @@ def _cmd_ssum(args, prec):
 def _cmd_prop(args, prec):
     spec = ResonatorSpec(args.x, args.b, args.J)
     rep = proposition_report(spec, args.ell, prec)
-    doc = {
-        "x": args.x,
-        "b": args.b,
-        "J": args.J,
-        "ell": args.ell,
-        "S_over_M": rep.S_over_M,
-        "target": rep.target,
-        "ratio": rep.ratio,
-        "error_budget": rep.error_budget,
-        "partition_bound_over_M": rep.partition_bound_over_M,
-    }
+    doc = {"x": args.x, "b": args.b, "J": args.J, "ell": args.ell}
+    doc.update(asdict(rep))
     _emit(doc, args, prec)
 
 
@@ -186,7 +179,7 @@ def _cmd_resonate(args, prec):
     spec = ResonatorSpec(args.x, args.b)
     cert = certificate(spec, args.T, args.ell)
     doc = {"x": args.x, "b": args.b, "T": args.T, "ell": args.ell}
-    doc.update(cert.to_dict())
+    doc.update(asdict(cert))
     _emit(doc, args)
 
 
@@ -205,18 +198,30 @@ def _cmd_scan(args, prec):
             raise ValueError("scan needs both --x and --b, or neither")
         spec = ResonatorSpec(args.x, args.b)
     report = scan_max(args.T, args.ell, args.step, refine=args.refine, spec=spec)
-    _emit(report.to_dict(), args)
+    _emit(asdict(report), args)
 
 
 def comparison_rows(ell_max: int, T: float) -> list[dict]:
     """Rows of the constant-comparison table: the improved main term
     e^gamma/(l+1) (log_2 T)^(l+1) against the older
     e^gamma l^l/(l+1)^(l+1) (log_2 T - log_3 T)^(l+1), with the
-    improvement factor (1+1/l)^l.  Asymptotic O(1) terms are rendered 0."""
-    if ell_max < 1:
-        raise ValueError(f"need ell_max >= 1, got {ell_max}")
+    improvement factor (1+1/l)^l.  Asymptotic O(1) terms are rendered 0.
+
+    Refuses, before building any row, an ell_max above MAX_TABLE_ELL or
+    one whose row leaves the double range; with log_2 T > 1 the last row
+    is the largest."""
+    if not 1 <= ell_max <= MAX_TABLE_ELL:
+        raise ValueError(
+            f"need 1 <= ell_max <= {MAX_TABLE_ELL}, got {ell_max}"
+        )
     if T <= math.exp(math.e):
         raise ValueError(f"need T > e^e, got {T}")
+    try:
+        bound_constants(ell_max, T)
+    except OverflowError:
+        raise ValueError(
+            f"the ell={ell_max} row overflows a double at T={T}"
+        ) from None
     rows = []
     for ell in range(ell_max + 1):
         new_bound, yang_bound = bound_constants(ell, T)

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError
-from .gridsum import exp_sum_on_grid
+from .gridsum import exp_sum_at, exp_sum_on_grid
 from .primes import iterated_log
-from .quadrature import QuadratureSettings, integrate_refine
+from .quadrature import MAX_NODES_PER_LEVEL, integrate_refine
 from .resonator import (
     FactoredElement,
     ResonatorSpec,
@@ -45,6 +45,10 @@ from .resonator import (
     s_over_cardinality_jet,
 )
 from .zeta import (
+    _EM_REFUSAL_BOUND,
+    EM_ORDER,
+    RING_NODES,
+    RING_RADIUS,
     _em_cut_for,
     _em_tail_terms,
     cauchy_ring,
@@ -82,9 +86,6 @@ def bump_phi(t):
 # band-limited to PHI_BAND / T in the moment integrands.
 PHI_BAND = 2000.0
 
-# phihat's far tail is tiny, so its agreement test is absolute.
-_PHI_HAT_QUAD = QuadratureSettings(rel_tol=1e-10, abs_scale=1.0)
-
 
 def bump_phi_hat(xi: float) -> complex:
     """phihat(xi) = integral phi(u) exp(-i xi u) du by the trapezoid rule.
@@ -97,8 +98,9 @@ def bump_phi_hat(xi: float) -> complex:
         u = t0 + dt * np.arange(count)
         return bump_phi(u) * np.exp(-1j * xi * u)
 
+    # phihat's far tail is tiny, so its agreement test is absolute.
     return integrate_refine(
-        integrand, 1.0, 2.0, abs(xi) + PHI_BAND, _PHI_HAT_QUAD
+        integrand, 1.0, 2.0, abs(xi) + PHI_BAND, rel_tol=1e-10, abs_scale=1.0
     )
 
 
@@ -161,8 +163,7 @@ def resonator_eval(elements: list[FactoredElement], t: float) -> complex:
     if not elements:
         raise ValueError("resonator needs at least one element")
     logs = np.array([e.log_value() for e in elements])
-    vals = np.exp(1j * t * logs)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+    return exp_sum_at(logs, np.ones_like(logs), -t)
 
 
 def _resonator_logs(spec: ResonatorSpec) -> np.ndarray:
@@ -212,18 +213,18 @@ def _dirichlet_grid_evaluator(T: float, ell: int):
     return evaluate, float(logn[-1]) if logn.size else 0.0
 
 
-def _cauchy_grid_evaluator(T: float, ell: int, radius: float, nodes: int):
+def _cauchy_grid_evaluator(T: float, ell: int):
     """Returns f(t0, dt, count) -> (-1)^l zeta^(l)(1 + i t) on uniform
-    grids, via Euler-Maclaurin on a Cauchy circle collapsed into NUFFT
+    grids, via Euler-Maclaurin on zeta's Cauchy circle collapsed into NUFFT
     coefficients plus vectorized boundary terms."""
-    em_order = 12
-    cut = _em_cut_for(2 * T + radius) + 2 * em_order
+    cut = _em_cut_for(2 * T + RING_RADIUS) + 2 * EM_ORDER
     n = np.arange(1, cut, dtype=np.float64)
     logn = np.log(n)
-    ring, cauchy_w = cauchy_ring(ell, radius, nodes)  # s = 1 + ring + i t
+    # s = 1 + ring + i t
+    ring, cauchy_w = cauchy_ring(ell, RING_RADIUS, RING_NODES)
     # Collapse the circle into per-n coefficients: sum_j w_j n^(-1-ring_j)
     coeffs = np.zeros(logn.size, dtype=np.complex128)
-    for j in range(nodes):
+    for j in range(RING_NODES):
         coeffs += cauchy_w[j] * np.exp(-(1.0 + ring[j]) * logn)
     sign = (-1) ** ell
 
@@ -231,12 +232,13 @@ def _cauchy_grid_evaluator(T: float, ell: int, radius: float, nodes: int):
         main = exp_sum_on_grid(logn, coeffs, t0, dt, count)
         t = t0 + dt * np.arange(count)
         tail = np.zeros(count, dtype=np.complex128)
-        for j in range(nodes):
+        for j in range(RING_NODES):
             s = (1.0 + ring[j]) + 1j * t
-            tail_j, err = _em_tail_terms(s, cut, em_order)
-            if float(np.max(err)) > 1e-8:
+            tail_j, err = _em_tail_terms(s, cut, EM_ORDER)
+            if float(np.max(err)) > _EM_REFUSAL_BOUND:
                 raise AccuracyError(
-                    f"oracle tail bound {float(np.max(err)):.2e} > 1e-8"
+                    f"oracle tail bound {float(np.max(err)):.2e} > "
+                    f"{_EM_REFUSAL_BOUND}"
                 )
             tail += cauchy_w[j] * tail_j
         return sign * (main + tail)
@@ -268,7 +270,7 @@ def moment_M2(
     if integrand_mode == "dirichlet":
         poly, nu_poly = _dirichlet_grid_evaluator(T, ell)
     else:
-        poly, nu_poly = _cauchy_grid_evaluator(T, ell, radius=0.25, nodes=64)
+        poly, nu_poly = _cauchy_grid_evaluator(T, ell)
 
     def integrand(t0, dt, count):
         p = poly(t0, dt, count)
@@ -289,14 +291,6 @@ class Certificate:
     rhs_prediction: float
     M1: float
     M2_abs: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "rhs_prediction": self.rhs_prediction,
-            "M1": self.M1,
-            "M2_abs": self.M2_abs,
-        }
 
 
 def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
@@ -330,20 +324,6 @@ class ScanReport:
     yang_constant: float
     grid_points: int
     refined: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "ell": self.ell,
-            "grid_step": self.grid_step,
-            "argmax_t": self.argmax_t,
-            "max_value": self.max_value,
-            "certificate_ratio": self.certificate_ratio,
-            "theoretical_constant": self.theoretical_constant,
-            "yang_constant": self.yang_constant,
-            "grid_points": self.grid_points,
-            "refined": self.refined,
-        }
 
 
 def _golden_max(f, lo, hi, iterations=40):
@@ -437,6 +417,11 @@ def scan_samples(T: float, ell: int, grid_step: float):
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     count = int(math.ceil(T / grid_step)) + 1
+    if count > MAX_NODES_PER_LEVEL:
+        raise ValueError(
+            f"scan of {count} grid points exceeds the limit of "
+            f"{MAX_NODES_PER_LEVEL}"
+        )
     step = T / (count - 1)
     logn, coeffs = dirichlet_coefficients(T, ell)
     values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))

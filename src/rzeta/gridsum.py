@@ -11,8 +11,9 @@ oversampled uniform grid with a truncated Gaussian kernel, FFT, and
 deconvolve (Dutt-Rokhlin gridding).  Accuracy is a few 1e-14 relative to
 sum|c|; the unit tests pin it against direct summation.
 
-Small problems fall through to chunked direct evaluation, which is also
-the reference implementation.
+A few sources (at most 64) advance their phases by cumulative products
+instead.  Chunked direct evaluation, :func:`_direct_grid`, is the
+reference the tests compare both routes against; no caller routes to it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-# Below this many source*target operations direct evaluation wins.
+# Source*target operations per chunk of the direct reference evaluation.
 DIRECT_LIMIT = 2_000_000
 
 # Gridding parameters: half-width of the spreading kernel in fine-grid
@@ -146,38 +147,18 @@ def _cumprod_grid(omega, coeffs, t0, dt, count):
 
 
 def exp_sum_on_grid(
-    omega,
-    coeffs,
-    t0: float,
-    dt: float,
-    count: int,
-    method: str | None = None,
+    omega, coeffs, t0: float, dt: float, count: int
 ) -> np.ndarray:
     """S_k = sum_n c_n exp(-i (t0 + k dt) omega_n) for k = 0..count-1.
 
-    ``method`` forces "direct", "cumprod" or "nufft"; by default few
-    sources (at most 64) use cumulative phase products, other small
-    problems run direct, and everything else goes through the gridded FFT.
+    Few sources (at most 64) use cumulative phase products; everything
+    else goes through the gridded FFT.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if omega.size == 0:
         return np.zeros(count, dtype=np.complex128)
-    if method not in (None, "direct", "nufft", "cumprod"):
-        raise ValueError(f"unknown method {method!r}")
-    if method is None:
-        if omega.size <= 64:
-            method = "cumprod"
-        elif (
-            omega.size * count <= DIRECT_LIMIT
-            or count < 4 * KERNEL_HALF_WIDTH
-        ):
-            method = "direct"
-        else:
-            method = "nufft"
-    if method == "direct":
-        return _direct_grid(omega, coeffs, t0, dt, count)
-    if method == "cumprod":
+    if omega.size <= 64:
         return _cumprod_grid(omega, coeffs, t0, dt, count)
     return _nufft_grid(omega, coeffs, t0, dt, count)

@@ -32,17 +32,23 @@ EXP_GAMMA_STR = "1.7810724179901979852365041031071795491696452143034"
 EULER_GAMMA = float(EULER_GAMMA_STR)
 EXP_GAMMA = float(EXP_GAMMA_STR)
 
+MAX_DIGITS = 1000  # refusal above: run time grows faster than the digits
+
 
 @dataclass(frozen=True)
 class Precision:
     """Arithmetic mode: ``digits=None`` means hardware double, otherwise
-    mpmath reals with that many significant decimal digits (minimum 50)."""
+    mpmath reals with that many significant decimal digits (50 to
+    MAX_DIGITS)."""
 
     digits: int | None = None
 
     def __post_init__(self):
-        if self.digits is not None and self.digits < 50:
-            raise ValueError("high-precision mode requires at least 50 digits")
+        if self.digits is not None and not 50 <= self.digits <= MAX_DIGITS:
+            raise ValueError(
+                f"high-precision mode requires 50 to {MAX_DIGITS} digits, "
+                f"got {self.digits}"
+            )
 
     @property
     def is_double(self) -> bool:

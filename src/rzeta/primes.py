@@ -16,6 +16,8 @@ import numpy as np
 
 from .precision import DOUBLE, Precision, constants, real, rlog
 
+MAX_SIEVE_LIMIT = 100_000_000  # refusal above: a sieve byte per integer
+
 
 @dataclass(frozen=True)
 class PrimeTable:
@@ -31,8 +33,10 @@ class PrimeTable:
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit`` (>= 2)."""
     limit = int(limit)
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    if not 2 <= limit <= MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit must lie in [2, {MAX_SIEVE_LIMIT}], got {limit}"
+        )
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, int(limit**0.5) + 1):

@@ -14,7 +14,6 @@ one FFT-gridded transform per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,24 +21,12 @@ import numpy as np
 from .errors import AccuracyError
 
 OVERSAMPLING = 1.2  # start-grid 2*pi/h over max_frequency
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Refinement policy for the oscillatory integrals."""
-
-    rel_tol: float = 1e-8
-    max_level: int = 10
-    # Refusal before any level above this many integrand evaluations: the
-    # guard against out-of-memory runs at large T.  A moment level costs
-    # about 180 bytes per node (M2 at T = 1e6: 3.0M nodes, 600 MB peak),
-    # so this keeps a run under a gigabyte.
-    max_nodes_per_level: int = 5_000_000
-    # Agreement test uses rel_tol * max(|value|, abs_scale): leave 0 for a
-    # purely relative test, set ~1 when tiny values (tail transforms) are
-    # acceptable at absolute accuracy.
-    abs_scale: float = 0.0
-
+MAX_LEVEL = 10  # refinements before the integral is refused
+# Refusal before any level above this many integrand evaluations: the
+# guard against out-of-memory runs at large T.  A moment level costs
+# about 180 bytes per node (M2 at T = 1e6: 3.0M nodes, 600 MB peak),
+# so this keeps a run under a gigabyte.
+MAX_NODES_PER_LEVEL = 5_000_000
 
 GridIntegrand = Callable[[float, float, int], np.ndarray]
 
@@ -61,11 +48,11 @@ def _level_value(
     return complex(width * total)
 
 
-def _check_budget(nodes: int, settings: QuadratureSettings) -> None:
-    if nodes > settings.max_nodes_per_level:
+def _check_budget(nodes: int, rel_tol: float) -> None:
+    if nodes > MAX_NODES_PER_LEVEL:
         raise AccuracyError(
             f"quadrature level of {nodes} nodes exceeds the node budget "
-            f"{settings.max_nodes_per_level} (rel_tol={settings.rel_tol})"
+            f"{MAX_NODES_PER_LEVEL} (rel_tol={rel_tol})"
         )
 
 
@@ -74,13 +61,18 @@ def integrate_refine(
     a: float,
     b: float,
     max_frequency: float,
-    settings: QuadratureSettings = QuadratureSettings(),
+    rel_tol: float = 1e-8,
+    abs_scale: float = 0.0,
 ) -> complex:
     """Integrate f over [a, b], halving the step until Romberg converges.
 
     ``f(t0, dt, count)`` must return integrand values on the uniform grid
     t0 + k*dt, k < count.  ``max_frequency`` bounds the integrand's
     angular frequencies; the first grid has 2*pi/h >= OVERSAMPLING times it.
+    Two levels agree when they differ by at most
+    ``rel_tol * max(|value|, abs_scale)``: leave ``abs_scale`` 0 for a
+    purely relative test, set it ~1 when tiny values (tail transforms) are
+    acceptable at absolute accuracy.
     """
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
@@ -89,22 +81,22 @@ def integrate_refine(
     span = b - a
     nyquist = OVERSAMPLING * max_frequency * span / (2 * math.pi)
     intervals = max(2, math.ceil(nyquist))
-    _check_budget(intervals + 1, settings)
+    _check_budget(intervals + 1, rel_tol)
     h = span / intervals
     row = [_level_value(f, a, h, intervals + 1, 1, end_weight=0.5)]
-    for level in range(1, settings.max_level + 1):
-        _check_budget(intervals, settings)
+    for level in range(1, MAX_LEVEL + 1):
+        _check_budget(intervals, rel_tol)
         midpoints = _level_value(f, a + 0.5 * h, h, intervals, 1)
         h *= 0.5
         intervals *= 2
         new = [0.5 * (row[0] + midpoints)]
         for k in range(1, level + 1):
             new.append(new[k - 1] + (new[k - 1] - row[k - 1]) / (4**k - 1))
-        scale = max(abs(new[-1]), settings.abs_scale, 1e-300)
-        if abs(new[-1] - row[-1]) <= settings.rel_tol * scale:
+        scale = max(abs(new[-1]), abs_scale, 1e-300)
+        if abs(new[-1] - row[-1]) <= rel_tol * scale:
             return new[-1]
         row = new
     raise AccuracyError(
-        f"quadrature failed to converge to rel_tol={settings.rel_tol} "
-        f"within {settings.max_level} refinements"
+        f"quadrature failed to converge to rel_tol={rel_tol} "
+        f"within {MAX_LEVEL} refinements"
     )

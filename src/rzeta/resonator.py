@@ -402,12 +402,16 @@ def yang_factor(ell: int) -> float:
 
 def bound_constants(ell: int, T: float) -> tuple[float, float]:
     """The improved main term e^gamma/(l+1) (log_2 T)^(l+1) and Yang's
-    e^gamma l^l/(l+1)^(l+1) (log_2 T - log_3 T)^(l+1), in double."""
+    e^gamma l^l/(l+1)^(l+1) (log_2 T - log_3 T)^(l+1), in double.
+
+    Yang's coefficient is written e^gamma/((l+1) (1+1/l)^l), 1 at l=0, so
+    no intermediate leaves the double range before the result does."""
     eg = constants().exp_gamma
     log2T = iterated_log(T, 2)
     log3T = iterated_log(T, 3)
     new = eg / (ell + 1) * log2T ** (ell + 1)
-    yang = eg * ell**ell / (ell + 1) ** (ell + 1) * (log2T - log3T) ** (ell + 1)
+    factor = yang_factor(ell) if ell >= 1 else 1.0
+    yang = eg / ((ell + 1) * factor) * (log2T - log3T) ** (ell + 1)
     return new, yang
 
 
@@ -420,15 +424,6 @@ class PropositionReport:
     ratio: float
     error_budget: float
     partition_bound_over_M: float
-
-    def to_dict(self) -> dict:
-        return {
-            "S_over_M": float(self.S_over_M),
-            "target": float(self.target),
-            "ratio": float(self.ratio),
-            "error_budget": float(self.error_budget),
-            "partition_bound_over_M": float(self.partition_bound_over_M),
-        }
 
 
 def proposition_report(

@@ -30,10 +30,21 @@ import mpmath
 import numpy as np
 
 from .errors import AccuracyError
+from .gridsum import exp_sum_at
 
 MAX_DERIVATIVE_ORDER = 8
 
+# The oracle's contract: Euler-Maclaurin order, the refusal bound on its
+# first omitted term, and the Cauchy circle (radius, nodes of the coarse
+# rule) that turns zeta values into derivatives.
+EM_ORDER = 12
 _EM_REFUSAL_BOUND = 1e-8
+RING_RADIUS = 0.25
+RING_NODES = 64
+
+# Refusal before allocating: the most terms a Dirichlet polynomial or an
+# Euler-Maclaurin head sum may have (8 bytes or more each).
+MAX_SUM_TERMS = 10_000_000
 
 
 class RangeAdvisory(UserWarning):
@@ -84,7 +95,13 @@ class EvalPoint:
 def dirichlet_coefficients(cutoff: float, ell: int):
     """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
     frequencies and coefficients of the polynomial P."""
-    n = np.arange(1, int(math.floor(cutoff)) + 1, dtype=np.float64)
+    terms = math.floor(cutoff)
+    if terms > MAX_SUM_TERMS:
+        raise ValueError(
+            f"Dirichlet polynomial of {terms} terms exceeds the limit of "
+            f"{MAX_SUM_TERMS}"
+        )
+    n = np.arange(1, terms + 1, dtype=np.float64)
     logn = np.log(n)
     return logn, logn**ell / n
 
@@ -94,8 +111,7 @@ def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:
     if check_range:
         point.warn_if_off_range()
     logn, w = dirichlet_coefficients(point.cutoff, point.ell)
-    vals = w * np.exp(-1j * point.t * logn)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+    return exp_sum_at(logn, w, point.t)
 
 
 # ------------------------------------------------------- Euler-Maclaurin --
@@ -138,7 +154,7 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
 
 
 def zeta_em_array(
-    s: np.ndarray, em_order: int = 12, cut: int | None = None
+    s: np.ndarray, em_order: int = EM_ORDER, cut: int | None = None
 ) -> np.ndarray:
     """Vectorized Euler-Maclaurin zeta for Re(s) > 0, s != 1."""
     s = np.asarray(s, dtype=np.complex128)
@@ -150,8 +166,8 @@ def zeta_em_array(
         raise ValueError(f"em_order must be >= 1, got {em_order}")
     if cut is None:
         cut = _em_cut_for(float(np.max(np.abs(s.imag)))) + 2 * em_order
-    if cut < 2:
-        raise ValueError(f"cut must be >= 2, got {cut}")
+    if not 2 <= cut <= MAX_SUM_TERMS:
+        raise ValueError(f"cut must lie in [2, {MAX_SUM_TERMS}], got {cut}")
 
     chunk = max(1, 4_000_000 // max(1, s.size))
     n_all = np.arange(1, cut, dtype=np.float64)
@@ -170,7 +186,9 @@ def zeta_em_array(
     return (res + tail).reshape(s.shape)
 
 
-def zeta_em(s: complex, em_order: int = 12, cut: int | None = None) -> complex:
+def zeta_em(
+    s: complex, em_order: int = EM_ORDER, cut: int | None = None
+) -> complex:
     """zeta(s) by Euler-Maclaurin summation with an internal error bound."""
     return complex(zeta_em_array(np.array([s]), em_order, cut)[0])
 
@@ -195,8 +213,8 @@ def cauchy_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     s0: complex,
     ell: int,
-    radius: float = 0.25,
-    nodes: int = 64,
+    radius: float = RING_RADIUS,
+    nodes: int = RING_NODES,
 ) -> complex:
     """f^(ell)(s0) by the trapezoid rule on a circle of given radius.
 
@@ -220,28 +238,23 @@ def _zeta_ring_values(
     return tuple(zeta_em_array(complex(s0r, s0i) + offsets))
 
 
-def zeta_deriv_cauchy(
-    s0: complex,
-    ell: int,
-    radius: float = 0.25,
-    nodes: int = 64,
-) -> complex:
-    """zeta^(ell)(s0) with a mandatory nodes vs 2*nodes agreement check.
+def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
+    """zeta^(ell)(s0) on the RING_RADIUS circle with a mandatory
+    RING_NODES vs 2*RING_NODES agreement check.
 
-    One 2*nodes ring is evaluated; the nodes-point rule is its even nodes
+    One 2*RING_NODES ring is evaluated; the coarse rule is its even nodes
     at twice the weight.
     """
     s0 = complex(s0)
-    if nodes < 16:
-        raise ValueError(f"need at least 16 nodes, got {nodes}")
+    radius, nodes = RING_RADIUS, 2 * RING_NODES
     if abs(s0 - 1.0) <= radius:
         raise ValueError(
             f"circle of radius {radius} around {s0} encloses the pole at 1"
         )
     if s0.real - radius <= 0:
         raise ValueError("circle dips into Re(s) <= 0, outside the oracle range")
-    vals = np.array(_zeta_ring_values(s0.real, s0.imag, radius, 2 * nodes))
-    _, weights = cauchy_ring(ell, radius, 2 * nodes)
+    vals = np.array(_zeta_ring_values(s0.real, s0.imag, radius, nodes))
+    _, weights = cauchy_ring(ell, radius, nodes)
     fine = _weighted_fsum(vals, weights)
     coarse = 2.0 * _weighted_fsum(vals[::2], weights[::2])
     if abs(fine - coarse) > 1e-8:

@@ -311,3 +311,109 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _match(got, want, path="payload"):
+    """Floats to rel 1e-13, every other value exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert got == pytest.approx(want, rel=1e-13, abs=0), path
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _match(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _match(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden_payloads.json")
+with open(_GOLDEN) as _fh:
+    GOLDEN_PAYLOADS = json.load(_fh)
+
+
+@pytest.mark.parametrize(
+    "command", sorted(GOLDEN_PAYLOADS), ids=lambda c: c.split()[0]
+)
+def test_golden_payloads(capsys, command):
+    # recorded payloads: a refactor must not move a computed number
+    code, out, err = invoke(capsys, *command.split(), "--no-timestamp")
+    assert code == 0, err
+    _match(json.loads(out), GOLDEN_PAYLOADS[command])
+
+
+def test_factors_past_ell_142_matches_exact_reference(capsys):
+    from fractions import Fraction
+
+    from rzeta.precision import EXP_GAMMA
+    from rzeta.primes import iterated_log
+
+    code, out, err = invoke(
+        capsys, "factors", "--ellmax", "143", "--T", "1e30", "--no-timestamp"
+    )
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 144
+    eg = Fraction(EXP_GAMMA)
+    log2T = Fraction(iterated_log(1e30, 2))
+    log3T = Fraction(iterated_log(1e30, 3))
+    for ell, row in enumerate(rows):
+        new = eg / (ell + 1) * log2T ** (ell + 1)
+        yang = (
+            eg * Fraction(ell**ell, (ell + 1) ** (ell + 1))
+            * (log2T - log3T) ** (ell + 1)
+        )
+        assert row["new_bound"] == pytest.approx(float(new), rel=1e-12)
+        assert row["yang_bound"] == pytest.approx(float(yang), rel=1e-12)
+
+
+@pytest.mark.parametrize("ellmax", ["500", "1001"])
+def test_factors_refuses_an_unprintable_table(capsys, ellmax):
+    # at T = 1e30 the l = 500 row overflows a double; 1001 rows is past
+    # the table's size limit at any T
+    code, out, err = invoke(
+        capsys, "factors", "--ellmax", ellmax, "--T", "1e30", "--no-timestamp"
+    )
+    assert code == 1
+    assert out == ""
+    assert "ell" in err and ellmax in err
+
+
+def test_precision_limit_refuses_before_gamma(capsys, monkeypatch):
+    import rzeta.cli as cli
+
+    def never(prec):
+        raise AssertionError("constants computed for a refused precision")
+
+    argv = ("ssum", "--x", "3", "--b", "2", "--ell", "0", "--no-timestamp")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "check_constants", never)
+        code, out, err = invoke(capsys, *argv, "--precision", "100000")
+        assert code == 1 and out == "" and "1000 digits" in err
+        m.setenv("RZ_PRECISION", "100000")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and "1000 digits" in err
+    code, out, err = invoke(capsys, *argv, "--precision", "1000")
+    assert code == 0, err
+    assert json.loads(out)["S"].startswith("5.8333333333")
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (("zeta", "--T", "1e12", "--t", "1.5e12", "--ell", "0"), "10000000"),
+        (("scan", "--T", "1000", "--ell", "0", "--step", "1e-9"), "5000000"),
+        (("sieve", "--limit", "10000000000"), "100000000"),
+        (("lemma", "--x", "1e9", "--b", "2"), "100000000"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else None,
+)
+def test_oversized_inputs_refused_before_allocating(capsys, argv, limit):
+    # each of these would ask for gigabytes to terabytes if not refused
+    code, out, err = invoke(capsys, *argv, "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert limit in err

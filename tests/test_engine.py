@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import rzeta
 from rzeta import quadrature
 from rzeta.engine import (
+    PHI_BAND,
     PHI_HAT_ZERO,
     Certificate,
     ParameterWarning,
@@ -24,7 +26,7 @@ from rzeta.engine import (
 )
 from rzeta.errors import AccuracyError
 from rzeta.precision import EXP_GAMMA
-from rzeta.quadrature import QuadratureSettings, integrate_refine
+from rzeta.quadrature import integrate_refine
 from rzeta.resonator import ResonatorSpec, enumerate_M
 from rzeta.zeta import EvalPoint, dirichlet_poly
 
@@ -149,8 +151,40 @@ def test_quadrature_driver_on_tone():
         return np.exp(1j * nu * (t0 + dt * np.arange(count)))
 
     exact = (np.exp(1j * nu * b) - np.exp(1j * nu * a)) / (1j * nu)
-    got = integrate_refine(f, a, b, 32, QuadratureSettings())
+    got = integrate_refine(f, a, b, 32)
     assert got == pytest.approx(complex(exact), abs=1e-10)
+
+
+def test_phi_hat_is_integrate_refine_at_absolute_tolerance():
+    # phihat is integrate_refine with an absolute agreement test, set
+    # through two plain arguments; there is no settings object
+    assert not hasattr(rzeta, "QuadratureSettings")
+    assert "QuadratureSettings" not in rzeta.__all__
+    xi = 7.3
+
+    def integrand(t0, dt, count):
+        u = t0 + dt * np.arange(count)
+        return bump_phi(u) * np.exp(-1j * xi * u)
+
+    got = integrate_refine(
+        integrand, 1.0, 2.0, xi + PHI_BAND, rel_tol=1e-10, abs_scale=1.0
+    )
+    assert got == bump_phi_hat(xi)
+
+
+def test_scalar_sums_equal_their_fsum_form():
+    # the explicit exp-and-fsum form is the reference: the shared scalar
+    # evaluator must reproduce it bit for bit
+    logn = np.log(np.arange(1, 2001, dtype=np.float64))
+    elems = enumerate_M(ResonatorSpec(5, 3))
+    logs = np.array([e.log_value() for e in elems])
+    for t in (0.0, 1234.5, -77.25, 1.5e5 + 0.1):
+        vals = logn / np.arange(1, 2001) * np.exp(-1j * t * logn)
+        want = complex(math.fsum(vals.real), math.fsum(vals.imag))
+        assert dirichlet_poly(EvalPoint(t, 1, 2000.0)) == want
+        vals = np.exp(1j * t * logs)
+        want = complex(math.fsum(vals.real), math.fsum(vals.imag))
+        assert resonator_eval(elems, t) == want
 
 
 def test_quadrature_levels_evaluate_only_new_midpoints():
@@ -220,7 +254,8 @@ def test_quadrature_start_below_band_refines():
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
-def test_quadrature_node_budget_refuses_before_evaluating():
+def test_quadrature_node_budget_refuses_before_evaluating(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_NODES_PER_LEVEL", 1000)
     calls = []
 
     def f(t0, dt, count):
@@ -228,9 +263,7 @@ def test_quadrature_node_budget_refuses_before_evaluating():
         return np.ones(count)
 
     with pytest.raises(AccuracyError, match="budget"):
-        integrate_refine(
-            f, 0.0, 1e4, 50.0, QuadratureSettings(max_nodes_per_level=1000)
-        )
+        integrate_refine(f, 0.0, 1e4, 50.0)
     assert calls == []
 
 

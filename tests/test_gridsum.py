@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from rzeta.gridsum import exp_sum_at, exp_sum_on_grid, next_smooth
+from rzeta import gridsum
+from rzeta.gridsum import (
+    _cumprod_grid,
+    _direct_grid,
+    _nufft_grid,
+    exp_sum_at,
+    exp_sum_on_grid,
+    next_smooth,
+)
 
 
 def brute(omega, coeffs, t0, dt, count):
@@ -21,7 +29,7 @@ def test_nufft_matches_direct_random(seed, n, count):
     t0 = rng.uniform(0, 1000)
     dt = rng.uniform(0.01, 0.8)
     ref = brute(omega, coeffs, t0, dt, count)
-    fast = exp_sum_on_grid(omega, coeffs, t0, dt, count, method="nufft")
+    fast = _nufft_grid(omega, coeffs, t0, dt, count)
     scale = np.sum(np.abs(coeffs))
     assert np.max(np.abs(fast - ref)) < 1e-11 * scale
 
@@ -32,7 +40,7 @@ def test_auto_routes_agree():
     omega = np.sort(rng.uniform(0, 12, n))
     coeffs = rng.normal(size=n) / np.arange(1, n + 1)
     auto = exp_sum_on_grid(omega, coeffs, 100.0, 0.05, count)
-    direct = exp_sum_on_grid(omega, coeffs, 100.0, 0.05, count, method="direct")
+    direct = _direct_grid(omega, coeffs, 100.0, 0.05, count)
     assert np.max(np.abs(auto - direct)) < 1e-11 * np.sum(np.abs(coeffs))
 
 
@@ -41,7 +49,7 @@ def test_harmonic_sum_grid():
     n = np.arange(1, 2001)
     omega = np.log(n)
     coeffs = 1.0 / n
-    out = exp_sum_on_grid(omega, coeffs, 0.0, 0.25, 1200, method="nufft")
+    out = _nufft_grid(omega, coeffs, 0.0, 0.25, 1200)
     # t = 0 entry is the exact harmonic number
     assert out[0].real == pytest.approx(np.sum(coeffs), rel=1e-12)
     assert abs(out[0].imag) < 1e-12
@@ -57,7 +65,7 @@ def test_large_phase_offset():
     omega = rng.uniform(0, 14, n)
     coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)) / 10
     t0 = 1.0e6
-    out = exp_sum_on_grid(omega, coeffs, t0, 0.4, 600, method="nufft")
+    out = _nufft_grid(omega, coeffs, t0, 0.4, 600)
     ref = brute(omega, coeffs, t0, 0.4, 600)
     assert np.max(np.abs(out - ref)) < 2e-9 * np.sum(np.abs(coeffs))
 
@@ -67,16 +75,14 @@ def test_empty_and_validation():
     assert np.all(out == 0)
     with pytest.raises(ValueError):
         exp_sum_on_grid(np.array([1.0]), np.array([1.0]), 0.0, 0.1, 0)
-    with pytest.raises(ValueError):
-        exp_sum_on_grid(np.array([1.0]), np.array([1.0]), 0.0, 0.1, 5, method="x")
 
 
 def test_determinism():
     rng = np.random.default_rng(11)
     omega = rng.uniform(0, 20, 300)
     coeffs = rng.normal(size=300) + 0j
-    a = exp_sum_on_grid(omega, coeffs, 50.0, 0.1, 4000, method="nufft")
-    b = exp_sum_on_grid(omega, coeffs, 50.0, 0.1, 4000, method="nufft")
+    a = _nufft_grid(omega, coeffs, 50.0, 0.1, 4000)
+    b = _nufft_grid(omega, coeffs, 50.0, 0.1, 4000)
     assert np.array_equal(a, b)
 
 
@@ -85,7 +91,7 @@ def test_cumprod_matches_direct():
     omega = np.log(np.array([1, 2, 3, 4, 6, 9, 12, 18, 36], dtype=float))
     coeffs = np.ones_like(omega) + 0j
     count = 600_000
-    fast = exp_sum_on_grid(omega, coeffs, 1e5, 0.43, count, method="cumprod")
+    fast = _cumprod_grid(omega, coeffs, 1e5, 0.43, count)
     # spot-check a handful of positions against the scalar evaluator
     for k in rng.integers(0, count, 12):
         ref = exp_sum_at(omega, coeffs, 1e5 + 0.43 * int(k))
@@ -101,7 +107,7 @@ def test_plan_reuse_matches_oneshot():
     for t0 in (10.0, 11.1):
         coeffs = rng.normal(size=5000) + 1j * rng.normal(size=5000)
         a = plan.run(coeffs, t0)
-        b = exp_sum_on_grid(omega, coeffs, t0, 0.2, 3000, method="direct")
+        b = _direct_grid(omega, coeffs, t0, 0.2, 3000)
         assert np.max(np.abs(a - b)) < 1e-11 * np.sum(np.abs(coeffs))
 
 
@@ -113,9 +119,9 @@ def test_few_sources_on_long_grid_take_cumprod():
     t0, count = 2e4, 65_536
     dt = t0 / count
     auto = exp_sum_on_grid(omega, coeffs, t0, dt, count)
-    cumprod = exp_sum_on_grid(omega, coeffs, t0, dt, count, method="cumprod")
+    cumprod = _cumprod_grid(omega, coeffs, t0, dt, count)
     assert np.array_equal(auto, cumprod)
-    direct = exp_sum_on_grid(omega, coeffs, t0, dt, count, method="direct")
+    direct = _direct_grid(omega, coeffs, t0, dt, count)
     gap = np.max(np.abs(auto - direct))
     assert gap < 1e-11 * np.sum(np.abs(coeffs))
 
@@ -132,3 +138,24 @@ def test_next_smooth_is_smallest_5_smooth_at_least_n(n):
     m = next_smooth(n)
     assert m >= n and _is_5_smooth(m)
     assert not any(_is_5_smooth(k) for k in range(n, m))
+
+
+@pytest.mark.parametrize("n,route", [(64, "_cumprod_grid"), (65, "_nufft_grid")])
+def test_auto_route_depends_on_source_count_only(monkeypatch, n, route):
+    # 65 sources on a 10-point grid: a small problem, yet NUFFT, not direct
+    rng = np.random.default_rng(n)
+    omega = rng.uniform(0, 12, n)
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    taken = []
+    for name in ("_direct_grid", "_cumprod_grid", "_nufft_grid"):
+        original = getattr(gridsum, name)
+
+        def spy(*args, _name=name, _original=original):
+            taken.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(gridsum, name, spy)
+    auto = exp_sum_on_grid(omega, coeffs, 300.0, 0.3, 10)
+    assert taken == [route]
+    ref = _direct_grid(omega, coeffs, 300.0, 0.3, 10)
+    assert np.max(np.abs(auto - ref)) < 1e-11 * np.sum(np.abs(coeffs))

@@ -159,7 +159,7 @@ def test_zeta_deriv_cauchy_at_2():
 
 def test_zeta_deriv_cauchy_pole_guard():
     with pytest.raises(ValueError):
-        zeta_deriv_cauchy(1.1 + 0j, 0, radius=0.25)
+        zeta_deriv_cauchy(1.1 + 0j, 0)
 
 
 def test_zeta_deriv_cauchy_refuses_two_grid_gap_near_pole():
