@@ -152,7 +152,7 @@ def theorem_parameters(T: float) -> TheoremParameters:
             stacklevel=2,
         )
     else:
-        _warn_if_peak_large(ResonatorSpec(x, b), T)
+        _warn_if_peak_large(ResonatorSpec(x, b), T, stacklevel=3)
     return TheoremParameters(T=float(T), x=x, b=b, J=J)
 
 
@@ -171,36 +171,56 @@ def _resonator_logs(spec: ResonatorSpec) -> np.ndarray:
     return np.array(sorted(e.log_value() for e in elements))
 
 
-def _warn_if_peak_large(spec: ResonatorSpec, T: float):
+def _peak_exceeds_sqrt(spec: ResonatorSpec, T: float) -> bool:
+    """(max M)^2 > T, decided exactly.
+
+    A double T is below 2^1024, so a max M of more than 512 bits exceeds
+    sqrt(T) for any finite T; below that max M is cheap to build.
+    """
+    # floor(log2 p) per prime: a lower bound on log2 max M
+    if (spec.b - 1) * sum(p.bit_length() - 1 for p in spec.primes) > 512:
+        return T < math.inf
     peak = max_element(spec)
-    if peak * peak > T:
+    return peak * peak > T
+
+
+def _warn_if_peak_large(spec: ResonatorSpec, T: float, stacklevel: int):
+    """``stacklevel`` as in :func:`warnings.warn`, counted from here."""
+    if _peak_exceeds_sqrt(spec, T):
         warnings.warn(
-            f"max element {peak} > sqrt(T): off-diagonal suppression is not "
+            "max element > sqrt(T): off-diagonal suppression is not "
             "justified at this T",
             ParameterWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
 # ---------------------------------------------------------------- moments --
 
-def moment_M1(spec: ResonatorSpec, T: float) -> float:
-    """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by the trapezoid rule."""
+def _moment(spec: ResonatorSpec, T: float, poly, nu_poly: float):
+    """integral of poly * |R|^2 phi(t/T) over [T, 2T] by the trapezoid
+    rule, for a grid evaluator ``poly`` of band ``nu_poly``; ``poly=None``
+    integrates |R|^2 phi(t/T) alone (M1)."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    _warn_if_peak_large(spec, T)
+    _warn_if_peak_large(spec, T, stacklevel=4)
     logs = _resonator_logs(spec)
     ones = np.ones_like(logs)
 
     def integrand(t0, dt, count):
+        p = 1.0 if poly is None else poly(t0, dt, count)
         r = exp_sum_on_grid(logs, ones, t0, dt, count)
         u = (t0 + dt * np.arange(count)) / T
-        return (r.real**2 + r.imag**2) * bump_phi(u)
+        return p * (r.real**2 + r.imag**2) * bump_phi(u)
 
-    # |R|^2 has frequencies log(n/m), |log(n/m)| <= log max M.
-    nu_max = float(logs[-1]) + PHI_BAND / T
-    value = integrate_refine(integrand, T, 2 * T, nu_max)
-    return float(value.real)
+    # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
+    nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
+    return integrate_refine(integrand, T, 2 * T, nu_max)
+
+
+def moment_M1(spec: ResonatorSpec, T: float) -> float:
+    """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by the trapezoid rule."""
+    return float(_moment(spec, T, None, 0.0).real)
 
 
 def _dirichlet_grid_evaluator(T: float, ell: int):
@@ -258,29 +278,15 @@ def moment_M2(
     certificate route); ``"oracle"`` uses Euler-Maclaurin zeta on a
     Cauchy circle, fully independent of the polynomial.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     if integrand_mode not in ("dirichlet", "oracle"):
         raise ValueError(f"unknown integrand mode {integrand_mode!r}")
-    _warn_if_peak_large(spec, T)
-    logs = _resonator_logs(spec)
-    ones = np.ones_like(logs)
     if integrand_mode == "dirichlet":
         poly, nu_poly = _dirichlet_grid_evaluator(T, ell)
     else:
         poly, nu_poly = _cauchy_grid_evaluator(T, ell)
-
-    def integrand(t0, dt, count):
-        p = poly(t0, dt, count)
-        r = exp_sum_on_grid(logs, ones, t0, dt, count)
-        u = (t0 + dt * np.arange(count)) / T
-        return p * (r.real**2 + r.imag**2) * bump_phi(u)
-
-    # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
-    nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
-    return complex(integrate_refine(integrand, T, 2 * T, nu_max))
+    return complex(_moment(spec, T, poly, nu_poly))
 
 
 # ------------------------------------------------------------ certificate --
@@ -297,10 +303,10 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     """|M2|/M1 (a rigorous lower bound for the windowed sup of |P|) next
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
     """
-    peak = max_element(spec)
-    if peak * peak > T:
+    if _peak_exceeds_sqrt(spec, T):
         raise ValueError(
-            f"max resonator element {peak} exceeds sqrt(T) = {math.sqrt(T):.1f}"
+            f"max resonator element prod_(p <= {spec.x:g}) p^{spec.b - 1} "
+            f"exceeds sqrt(T) = {math.sqrt(T):.1f}"
         )
     m1 = moment_M1(spec, T)
     m2 = moment_M2(spec, T, ell, integrand_mode="dirichlet")
@@ -408,6 +414,10 @@ def scan_samples(T: float, ell: int, grid_step: float):
     """
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(
+            f"grid_step must be finite and positive, got {grid_step}"
+        )
     step_cap = math.pi / (4.0 * math.log(T))
     if grid_step > step_cap:
         raise ValueError(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,10 +64,12 @@ class ResonatorSpec:
     def __post_init__(self):
         if not (math.isfinite(self.x) and self.x >= 2):
             raise ValueError(f"x must be finite and >= 2, got {self.x}")
-        if self.b < 1:
-            raise ValueError(f"b must be >= 1, got {self.b}")
-        if self.J < 1:
-            raise ValueError(f"J must be >= 1, got {self.J}")
+        for name in ("b", "J"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -121,13 +124,28 @@ def max_element(spec: ResonatorSpec) -> int:
     return v
 
 
-def _refuse_over_cap(spec: ResonatorSpec, cap: int) -> None:
-    size = resonator_cardinality(spec)
-    if size > cap:
+def _refuse_over_cap(primes: tuple[int, ...], b: int, cap: int) -> None:
+    if b ** len(primes) > cap:
         raise ValueError(
-            f"|M| = {size} exceeds enumeration cap {cap}; "
+            f"|M| = {b}^{len(primes)} exceeds enumeration cap {cap}; "
             "raise cap explicitly if this is intentional"
         )
+
+
+def _times(count: int, value, prec: Precision):
+    """count * value, for an exact factor of |M| = b^pi(x) and a value
+    normalized by it; refuses a count beyond the double range."""
+    if prec.is_double:
+        try:
+            return float(count) * value
+        except OverflowError:
+            raise OverflowError(
+                f"b^pi(x) scaling of about 10^{math.log10(count):.0f} exceeds "
+                "the double range; use a high-precision mode or the value "
+                "normalized by |M|"
+            ) from None
+    with prec.context():
+        return real(count, prec) * value
 
 
 def enumerate_M(
@@ -135,8 +153,8 @@ def enumerate_M(
 ) -> list[FactoredElement]:
     """All elements of M, each exactly once, in lexicographic exponent
     order (first prime slowest).  Refuses when b^pi(x) exceeds ``cap``."""
-    _refuse_over_cap(spec, cap)
     primes = spec.primes
+    _refuse_over_cap(primes, spec.b, cap)
     return [
         FactoredElement(primes, exps)
         for exps in itertools.product(range(spec.b), repeat=len(primes))
@@ -155,39 +173,46 @@ def weight_w(k: FactoredElement, spec: ResonatorSpec) -> int:
     return w
 
 
-def _element_arrays(spec: ResonatorSpec, cap: int):
-    """Vectorized enumeration: float arrays (k, log k, w) over all of M.
+def _weighted_sum(
+    primes: tuple[int, ...], b: int, cap: int, prec: Precision, ell: int
+):
+    """sum w(k) (log k)^l / k over the divisors k of prod p^(b-1), with
+    w(k) = prod_p (b - v_p(k)), built prime by prime.
 
-    Same lexicographic order as :func:`enumerate_M`.  Elements whose value
-    exceeds the double range come out as inf; their reciprocal terms are
-    below double resolution of any total here, so they sum as 0.
+    Double mode sums float arrays; elements beyond the double range come
+    out as k = inf, and their terms, below double resolution of any total
+    here, as 0.  High precision sums exact k and w in descending order of
+    k.
     """
-    _refuse_over_cap(spec, cap)
-    k = np.array([1.0])
-    logk = np.array([0.0])
-    w = np.array([1.0])
-    b = spec.b
-    for p in spec.primes:
-        with np.errstate(over="ignore"):
-            pw = np.power(float(p), np.arange(b, dtype=np.float64))
-            k = (k[:, None] * pw[None, :]).ravel()
-        logpw = np.arange(b) * math.log(p)
-        logk = (logk[:, None] + logpw[None, :]).ravel()
+    _refuse_over_cap(primes, b, cap)
+    if prec.is_double:
+        k = np.array([1.0])
+        logk = np.array([0.0])
+        w = np.array([1.0])
         wfac = (b - np.arange(b)).astype(np.float64)
-        w = (w[:, None] * wfac[None, :]).ravel()
-    return k, logk, w
-
-
-def _iter_elements_exact(spec: ResonatorSpec, cap: int, prec: Precision):
-    """(k exact int, w exact int, log k) triples in descending-k order,
-    for the high-precision summation contract."""
-    elems = enumerate_M(spec, cap)
-    triples = [
-        (e.value(), weight_w(e, spec), e) for e in elems
-    ]
-    triples.sort(key=lambda t: t[0], reverse=True)
-    for kv, wv, e in triples:
-        yield kv, wv, e.log_value(prec)
+        for p in primes:
+            with np.errstate(over="ignore"):
+                pw = np.power(float(p), np.arange(b, dtype=np.float64))
+                k = (k[:, None] * pw[None, :]).ravel()
+            logpw = np.arange(b) * math.log(p)
+            logk = (logk[:, None] + logpw[None, :]).ravel()
+            w = (w[:, None] * wfac[None, :]).ravel()
+        with np.errstate(invalid="ignore"):
+            return float(np.sum(w * logk**ell / k))
+    with prec.context():
+        elements = [(1, 1, real(0, prec))]
+        for p in primes:
+            logp = rlog(p, prec)
+            elements = [
+                (kv * p**e, wv * (b - e), logkv + e * logp)
+                for kv, wv, logkv in elements
+                for e in range(b)
+            ]
+        elements.sort(key=lambda t: t[0], reverse=True)
+        acc = real(0, prec)
+        for kv, wv, logkv in elements:
+            acc += wv * logkv**ell / kv
+        return acc
 
 
 def S_brute(
@@ -199,16 +224,7 @@ def S_brute(
     """S(x; l) as the collapsed sum over enumerated M: sum w(k)(log k)^l / k."""
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    if prec.is_double:
-        k, logk, w = _element_arrays(spec, cap)
-        with np.errstate(invalid="ignore"):
-            terms = w * logk**ell / k
-        return float(np.sum(terms))
-    with mpmath.workdps(prec.digits):
-        acc = mpmath.mpf(0)
-        for kv, wv, logkv in _iter_elements_exact(spec, cap, prec):
-            acc += wv * logkv**ell / kv
-        return acc
+    return _weighted_sum(spec.primes, spec.b, cap, prec, ell)
 
 
 def S_nested(spec: ResonatorSpec, ell: int, cap: int = ENUMERATION_CAP) -> float:
@@ -256,18 +272,7 @@ def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):
     the double range; use high precision or the normalized ratio then.
     """
     s_norm = s_over_cardinality_jet(spec, ell, prec)
-    size = resonator_cardinality(spec)
-    if prec.is_double:
-        try:
-            return float(size) * s_norm
-        except OverflowError:
-            raise OverflowError(
-                f"|M| = b^pi(x) = {spec.b}^{len(spec.primes)} exceeds the "
-                "double range; use a high-precision mode or "
-                "s_over_cardinality_jet"
-            ) from None
-    with prec.context():
-        return real(size, prec) * s_norm
+    return _times(resonator_cardinality(spec), s_norm, prec)
 
 
 def layer_product(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
@@ -293,12 +298,8 @@ def layer_product(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
 
 def layer_sum(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
     """sum_{k in M_i} w(k)/k by the exact product form b^pi(x) * prod(...)."""
-    size = resonator_cardinality(spec)
     prod = layer_product(spec, i, prec)
-    if prec.is_double:
-        return float(size) * prod
-    with prec.context():
-        return real(size, prec) * prod
+    return _times(resonator_cardinality(spec), prod, prec)
 
 
 def layer_sum_brute(
@@ -315,23 +316,8 @@ def layer_sum_brute(
     """
     prefix = spec.layer_primes(i)
     rest = len(spec.primes) - len(prefix)
-    if not prefix:
-        # M_i = {1}: the only term is w(1)/1 = |M|.
-        return (
-            float(resonator_cardinality(spec))
-            if prec.is_double
-            else real(resonator_cardinality(spec), prec)
-        )
-    sub = ResonatorSpec(float(prefix[-1]), spec.b, spec.J)
-    assert sub.primes == prefix
-    if prec.is_double:
-        k, _, w = _element_arrays(sub, cap)
-        return float(spec.b**rest) * float(np.sum(w / k))
-    with mpmath.workdps(prec.digits):
-        acc = mpmath.mpf(0)
-        for kv, wv, _ in _iter_elements_exact(sub, cap, prec):
-            acc += mpmath.mpf(wv) / kv
-        return real(spec.b**rest, prec) * acc
+    prefix_sum = _weighted_sum(prefix, spec.b, cap, prec, 0)
+    return _times(spec.b**rest, prefix_sum, prec)
 
 
 def partition_over_cardinality(
@@ -356,11 +342,7 @@ def partition_lower_bound(
 ):
     """(log x)^l sum_j ((j-1)/J)^l [L(j) - L(j-1)]; always <= S(x; l)."""
     norm = partition_over_cardinality(spec, ell, prec)
-    size = resonator_cardinality(spec)
-    if prec.is_double:
-        return float(size) * norm
-    with prec.context():
-        return real(size, prec) * norm
+    return _times(resonator_cardinality(spec), norm, prec)
 
 
 class RiemannBracket(NamedTuple):

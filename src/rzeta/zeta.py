@@ -59,7 +59,6 @@ class EvalPoint:
     t: float
     ell: int
     cutoff: float
-    max_order: int = MAX_DERIVATIVE_ORDER
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -68,9 +67,9 @@ class EvalPoint:
             raise ValueError(
                 f"cutoff must be finite and >= 1, got {self.cutoff}"
             )
-        if not 0 <= self.ell <= self.max_order:
+        if not 0 <= self.ell <= MAX_DERIVATIVE_ORDER:
             raise ValueError(
-                f"ell={self.ell} outside [0, {self.max_order}]"
+                f"ell={self.ell} outside [0, {MAX_DERIVATIVE_ORDER}]"
             )
 
     def warn_if_off_range(self):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -226,11 +227,13 @@ def test_env_precision(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "rzeta.cli", "sieve", "--limit", "10",
          "--no-timestamp"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 4
@@ -288,6 +291,31 @@ def test_non_finite_or_nonpositive_T_exits_1(capsys, argv, height):
     assert code == 1
     assert out == ""
     assert "--T" in err and "finite and positive" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-inf", "nan", "-0.1"])
+def test_scan_step_must_be_finite_and_positive(capsys, step):
+    code, out, err = invoke(
+        capsys, "scan", "--T", "1000", "--ell", "0", f"--step={step}",
+        "--no-timestamp",
+    )
+    assert code == 1
+    assert out == ""
+    assert "step" in err and "finite and positive" in err
+
+
+def test_resonate_refuses_max_element_above_sqrt_T_quickly(capsys):
+    # max M is the product of the primes below 1e5: about 43000 digits,
+    # which the refusal must neither build nor print.
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "1e5", "--b", "2", "--T", "2e4",
+        "--ell", "0", "--no-timestamp",
+    )
+    assert code == 1
+    assert out == ""
+    assert "sqrt(T)" in err and len(err) < 200
+    assert time.perf_counter() - start < 5.0
 
 
 def test_resonate_beyond_node_budget_exits_2(capsys):

@@ -339,6 +339,28 @@ def test_certificate_enforces_peak_constraint():
         certificate(ResonatorSpec(10, 4), 1e4, 0)  # peak 9261000 >> 100
 
 
+def test_certificate_sqrt_boundary_is_exact():
+    spec = ResonatorSpec(3, 3)  # max M = 36, and 36^2 = 1296
+    with pytest.raises(ValueError, match="sqrt"):
+        certificate(spec, 1295, 0)
+    assert certificate(spec, 1296, 0).ratio > 0
+    # just below 1296 only the exact integer test can tell
+    with pytest.raises(ValueError, match="sqrt"):
+        certificate(spec, math.nextafter(1296.0, 0.0), 0)
+
+
+def test_sqrt_check_never_builds_max_element(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("max_element built")
+
+    monkeypatch.setattr(rzeta.engine, "max_element", refuse)
+    spec = ResonatorSpec(1e5, 2)  # max M has about 43000 digits
+    with pytest.raises(ValueError, match=r"sqrt\(T\)"):
+        certificate(spec, 2e4, 0)
+    with pytest.warns(ParameterWarning, match="sqrt"):
+        rzeta.engine._warn_if_peak_large(spec, 2e4, stacklevel=2)
+
+
 def test_scan_basic():
     T = 2000.0
     report = scan_max(T, 0, 0.05)

@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rzeta.precision import HIGH
@@ -104,12 +105,25 @@ def test_enumerate_cap_refusal():
         enumerate_M(ResonatorSpec(30, 4), cap=1000)
     with pytest.raises(ValueError, match="cap"):
         S_brute(ResonatorSpec(30, 4), 0, cap=1000)  # the array route
+    with pytest.raises(ValueError, match="cap"):
+        S_brute(ResonatorSpec(30, 4), 0, cap=1000, prec=HIGH)
+    with pytest.raises(ValueError, match="cap"):
+        layer_sum_brute(ResonatorSpec(30, 4), 1, cap=1000)
+    # |M| is named as a power: 1000^9592 has too many digits to print
+    with pytest.raises(ValueError, match="1000\\^9592 exceeds enumeration cap"):
+        S_brute(ResonatorSpec(1e5, 1000), 0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_spec_rejects_non_finite_x(x):
     with pytest.raises(ValueError, match="finite"):
         ResonatorSpec(x, 2)
+
+
+@pytest.mark.parametrize("b, J", [(2.5, 1), (2.0, 1), (3, 1.5), ("3", 1)])
+def test_spec_rejects_non_integer_b_and_J(b, J):
+    with pytest.raises(ValueError, match="integer"):
+        ResonatorSpec(3, b, J)
 
 
 def test_element_log_roundtrip():
@@ -171,8 +185,6 @@ def test_S_routes_agree_spot():
 
 
 def test_S_brute_high_precision_agrees():
-    import mpmath
-
     spec = ResonatorSpec(7, 2)
     for ell in (0, 1, 3):
         hi = S_brute(spec, ell, prec=HIGH)
@@ -202,6 +214,10 @@ def test_layer_identity_exact_oracle():
             assert layer_sum_brute(spec, i) == pytest.approx(
                 float(exact), rel=1e-12
             )
+            hi = layer_sum_brute(spec, i, prec=HIGH)
+            with mpmath.workdps(50):
+                ref = mpmath.mpf(exact.numerator) / exact.denominator
+                assert abs(hi - ref) <= ref * mpmath.mpf(10) ** -45
 
 
 def test_boundary_prime_included():
@@ -305,6 +321,12 @@ def test_S_jet_overflow_guard():
         S_jet(ResonatorSpec(10**4, 10**3), 0)
     v = S_jet(ResonatorSpec(10**4, 10**3), 0, prec=HIGH)
     assert v > 0
+    # every |M|-scaled value refuses the same way
+    spec = ResonatorSpec(10**4, 10**3, J=3)
+    with pytest.raises(OverflowError, match="b\\^pi"):
+        layer_sum(spec, 1)
+    with pytest.raises(OverflowError, match="b\\^pi"):
+        partition_lower_bound(spec, 1)
 
 
 def test_spec_validation():

@@ -65,7 +65,6 @@ def test_evalpoint_validation():
         EvalPoint(1.0, 0, 0.5)
     with pytest.raises(ValueError):
         EvalPoint(1.0, 9, 10.0)
-    EvalPoint(1.0, 9, 10.0, max_order=12)  # configurable ceiling
 
 
 @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
