@@ -358,7 +358,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         prec = _resolve_precision(args.precision)
         check_constants(prec)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), prec.context():
             warnings.simplefilter("default")
             args.func(args, prec)
         return 0

@@ -77,16 +77,15 @@ HIGH = Precision(50)
 class Constants:
     euler_gamma: object
     exp_gamma: object
-    precision_digits: int
 
 
 def constants(prec: Precision = DOUBLE) -> Constants:
     """Euler's constant and e**gamma at the requested precision."""
     if prec.is_double:
-        return Constants(EULER_GAMMA, EXP_GAMMA, 17)
+        return Constants(EULER_GAMMA, EXP_GAMMA)
     with mpmath.workdps(prec.digits):
         gamma = +mpmath.euler
-        return Constants(gamma, mpmath.exp(gamma), prec.digits)
+        return Constants(gamma, mpmath.exp(gamma))
 
 
 def check_constants(prec: Precision = DOUBLE) -> None:

@@ -26,9 +26,6 @@ class PrimeTable:
     limit: int
     primes: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit`` (>= 2)."""

@@ -38,14 +38,17 @@ def _level_value(
     panels: int,
     order: int,
     end_weight: float = 1.0,
-) -> complex:
-    """width * sum of f on a + k*width, k < panels*order (``order=1`` for
-    the trapezoid rule), with the end samples weighted by ``end_weight``."""
+) -> tuple[complex, float]:
+    """width * sum of f, and of |f|, on a + k*width, k < panels*order
+    (``order=1`` for the trapezoid rule), with the end samples weighted
+    by ``end_weight``."""
     vals = f(a, width, panels * order)
-    total = np.sum(vals)
+    mags = np.abs(vals)
+    total, mass = np.sum(vals), np.sum(mags)
     if end_weight != 1.0:
         total -= (1.0 - end_weight) * (vals[0] + vals[-1])
-    return complex(width * total)
+        mass -= (1.0 - end_weight) * (mags[0] + mags[-1])
+    return complex(width * total), float(width * mass)
 
 
 def _check_budget(nodes: int, rel_tol: float) -> None:
@@ -62,17 +65,15 @@ def integrate_refine(
     b: float,
     max_frequency: float,
     rel_tol: float = 1e-8,
-    abs_scale: float = 0.0,
 ) -> complex:
     """Integrate f over [a, b], halving the step until Romberg converges.
 
     ``f(t0, dt, count)`` must return integrand values on the uniform grid
     t0 + k*dt, k < count.  ``max_frequency`` bounds the integrand's
     angular frequencies; the first grid has 2*pi/h >= OVERSAMPLING times it.
-    Two levels agree when they differ by at most
-    ``rel_tol * max(|value|, abs_scale)``: leave ``abs_scale`` 0 for a
-    purely relative test, set it ~1 when tiny values (tail transforms) are
-    acceptable at absolute accuracy.
+    Two levels agree when they differ by at most ``rel_tol`` times the
+    trapezoid sum of |f|, so an integral that cancels to near 0 converges
+    as readily as one of constant sign.
     """
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
@@ -83,17 +84,18 @@ def integrate_refine(
     intervals = max(2, math.ceil(nyquist))
     _check_budget(intervals + 1, rel_tol)
     h = span / intervals
-    row = [_level_value(f, a, h, intervals + 1, 1, end_weight=0.5)]
+    value, mass = _level_value(f, a, h, intervals + 1, 1, end_weight=0.5)
+    row = [value]
     for level in range(1, MAX_LEVEL + 1):
         _check_budget(intervals, rel_tol)
-        midpoints = _level_value(f, a + 0.5 * h, h, intervals, 1)
+        midpoints, mid_mass = _level_value(f, a + 0.5 * h, h, intervals, 1)
         h *= 0.5
         intervals *= 2
+        mass = 0.5 * (mass + mid_mass)
         new = [0.5 * (row[0] + midpoints)]
         for k in range(1, level + 1):
             new.append(new[k - 1] + (new[k - 1] - row[k - 1]) / (4**k - 1))
-        scale = max(abs(new[-1]), abs_scale, 1e-300)
-        if abs(new[-1] - row[-1]) <= rel_tol * scale:
+        if abs(new[-1] - row[-1]) <= rel_tol * mass:
             return new[-1]
         row = new
     raise AccuracyError(

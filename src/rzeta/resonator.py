@@ -262,7 +262,8 @@ def s_over_cardinality_jet(
     with prec.context():
         jets = _normalized_local_jets(spec, ell, prec)
         prod = jet_product(jets, center=real(1, prec), order=ell, prec=prec)
-        return (-1) ** ell * derivative_from_jet(prod, ell)
+        # + 0 turns the -0.0 of an odd ell at b = 1 into 0.0
+        return (-1) ** ell * derivative_from_jet(prod, ell) + 0
 
 
 def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):

@@ -126,10 +126,9 @@ def _bernoulli_table(n: int) -> tuple:
 
 
 def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
-    """Boundary + Bernoulli corrections and the first-omitted-term bound.
-
-    Returns (tail_values, error_estimates) for an array of s.
-    """
+    """Boundary + Bernoulli corrections for an array of s.  Raises
+    AccuracyError where the bound on the first omitted term is too large:
+    every Euler-Maclaurin evaluation is refused here and nowhere else."""
     N = float(cut)
     logN = math.log(N)
     npow = np.exp(-s * logN)  # N^(-s)
@@ -137,11 +136,9 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
     bern = _bernoulli_table(2 * em_order + 2)
     rising = s.copy()  # (s)_1 = s
     nshift = npow / N  # N^(-s-1)
-    term = np.zeros_like(s)
     for r in range(1, em_order + 1):
         coef = float(bern[2 * r] / math.factorial(2 * r))
-        term = coef * rising * nshift
-        tail = tail + term
+        tail = tail + coef * rising * nshift
         # extend rising factorial (s)_{2r-1} -> (s)_{2r+1}, N^(-s-2r+1) shift
         rising = rising * (s + 2 * r - 1) * (s + 2 * r)
         nshift = nshift / (N * N)
@@ -149,7 +146,12 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
     sigma = s.real
     ratio = np.abs(s + 2 * em_order + 1) / (sigma + 2 * em_order + 1)
     err = next_coef * np.abs(rising) * np.abs(nshift) * ratio
-    return tail, err
+    if np.any(err > _EM_REFUSAL_BOUND):
+        raise AccuracyError(
+            f"Euler-Maclaurin error estimate {float(np.max(err)):.3e} exceeds "
+            f"{_EM_REFUSAL_BOUND}; raise cut or em_order"
+        )
+    return tail
 
 
 def zeta_em_array(
@@ -176,13 +178,7 @@ def zeta_em_array(
     for start in range(0, n_all.size, chunk):
         ln = logn[start : start + chunk]
         res += np.exp(-np.multiply.outer(flat, ln)).sum(axis=1)
-    tail, err = _em_tail_terms(flat, cut, em_order)
-    if np.any(err > _EM_REFUSAL_BOUND):
-        raise AccuracyError(
-            f"Euler-Maclaurin error estimate {float(np.max(err)):.3e} exceeds "
-            f"{_EM_REFUSAL_BOUND}; raise cut or em_order"
-        )
-    return (res + tail).reshape(s.shape)
+    return (res + _em_tail_terms(flat, cut, em_order)).reshape(s.shape)
 
 
 def zeta_em(

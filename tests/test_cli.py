@@ -1,11 +1,13 @@
 """CLI behaviour: payloads, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
 
 import rzeta
@@ -326,6 +328,67 @@ def test_resonate_beyond_node_budget_exits_2(capsys):
     assert code == 2  # accuracy failure, refused before any integrand call
     assert out == ""
     assert "node budget" in err
+
+
+def test_resonate_with_vanishing_moment(capsys):
+    # b = 1: M = {1} and S(x; 1) = 0, so M2 is ~0 and the certificate
+    # ratio with it; the moments converge at the first refinements
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "2", "--b", "1", "--T", "1e4",
+        "--ell", "1", "--no-timestamp",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ratio"] < 1e-12
+    assert math.copysign(1.0, doc["rhs_prediction"]) == 1.0
+    assert doc["rhs_prediction"] == 0.0
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("ssum", "--x", "3", "--b", "1", "--ell", "1", "--method", "both"),
+         "S_jet"),
+        (("prop", "--x", "3", "--b", "1", "--J", "1", "--ell", "1"),
+         "S_over_M"),
+    ],
+    ids=["ssum", "prop"],
+)
+def test_zero_sum_prints_positive_zero(capsys, argv, key):
+    # b = 1: S(x; 1) = 0, and the odd-ell sign must not make it -0.0
+    code, out, err = invoke(capsys, *argv, "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)[key] == 0.0
+    assert "-0.0" not in out
+
+
+def test_lemma_fields_at_working_precision(capsys):
+    code, out, err = invoke(
+        capsys, "lemma", "--x", "100", "--b", "5", "--precision", "60",
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    primes = [q for q in range(2, 101) if all(q % d for d in range(2, q))]
+    with mpmath.workdps(80):
+        product = mpmath.mpf(1)
+        for p in primes:
+            product *= mpmath.fsum(
+                (1 - mpmath.mpf(v) / 5) * mpmath.mpf(p) ** -v
+                for v in range(5)
+            )
+        asym = mpmath.exp(mpmath.euler) * mpmath.log(100)
+        ratio = product / asym
+        want = {
+            "product": product,
+            "asymptotic_main_term": asym,
+            "ratio": ratio,
+            "deviation": ratio - 1,
+        }
+        for key, ref in want.items():
+            assert abs(mpmath.mpf(doc[key]) - ref) < mpmath.mpf(10) ** -58, key
 
 
 def test_cli_import_leaves_scipy_out():

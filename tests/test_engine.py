@@ -156,8 +156,8 @@ def test_quadrature_driver_on_tone():
 
 
 def test_phi_hat_is_integrate_refine_at_absolute_tolerance():
-    # phihat is integrate_refine with an absolute agreement test, set
-    # through two plain arguments; there is no settings object
+    # phihat is integrate_refine at rel_tol=1e-10, a plain argument;
+    # there is no settings object
     assert not hasattr(rzeta, "QuadratureSettings")
     assert "QuadratureSettings" not in rzeta.__all__
     xi = 7.3
@@ -166,9 +166,7 @@ def test_phi_hat_is_integrate_refine_at_absolute_tolerance():
         u = t0 + dt * np.arange(count)
         return bump_phi(u) * np.exp(-1j * xi * u)
 
-    got = integrate_refine(
-        integrand, 1.0, 2.0, xi + PHI_BAND, rel_tol=1e-10, abs_scale=1.0
-    )
+    got = integrate_refine(integrand, 1.0, 2.0, xi + PHI_BAND, rel_tol=1e-10)
     assert got == bump_phi_hat(xi)
 
 
@@ -416,3 +414,26 @@ def test_moment_M2_oracle_vs_dirichlet_tiny():
     assert abs(m2d - m2o) <= bound
     # and the oracle mode is not wildly off the main term
     assert abs(m2o) == pytest.approx(abs(m2d), rel=0.2)
+
+
+def test_vanishing_moment_converges():
+    # M = {1} and ell = 1: S(x; 1) = 0, so M2 cancels to a tiny fraction
+    # of its integrand's mass, which is what the agreement test scales by;
+    # what is left is the oracle's own error (1e-8 per point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterWarning)
+        m2 = moment_M2(ResonatorSpec(2, 1), 1e3, 1, integrand_mode="oracle")
+        m1 = moment_M1(ResonatorSpec(2, 1), 1e3)
+    assert abs(m2) <= 1e-8 * m1
+
+
+def test_euler_maclaurin_refusal_has_one_home(monkeypatch):
+    # the oracle moment refuses through zeta's own check, with its message
+    monkeypatch.setattr(rzeta.zeta, "_EM_REFUSAL_BOUND", 0.0)
+    message = r"Euler-Maclaurin error estimate .* exceeds"
+    with pytest.raises(AccuracyError, match=message):
+        rzeta.zeta.zeta_em(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterWarning)
+        with pytest.raises(AccuracyError, match=message):
+            moment_M2(ResonatorSpec(3, 2), 600, 1, integrand_mode="oracle")
