@@ -100,9 +100,6 @@ def bump_phi_hat(xi: float) -> complex:
     )
 
 
-PHI_HAT_ZERO = 0.75  # exact: plateau 1/2 plus two transitions of 1/8 each
-
-
 def bump_decay_constant(
     alpha: int, xi_min: float = 10.0, xi_max: float = 1e4, samples: int = 60
 ) -> float:
@@ -298,9 +295,10 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
             f"max resonator element prod_(p <= {spec.x:g}) p^{spec.b - 1} "
             f"exceeds sqrt(T) = {math.sqrt(T):.1f}"
         )
+    # the jets refuse an ell they cannot represent before any quadrature
+    rhs = float(s_over_cardinality_jet(spec, ell))
     m1 = moment_M1(spec, T)
     m2 = moment_M2(spec, T, ell, integrand_mode="dirichlet")
-    rhs = float(s_over_cardinality_jet(spec, ell))
     return Certificate(
         ratio=abs(m2) / m1, rhs_prediction=rhs, M1=m1, M2_abs=abs(m2)
     )

@@ -12,8 +12,8 @@ sum computed combinatorially in :mod:`rzeta.resonator`; jets make that
 derivative exact (up to rounding) for thousands of primes where
 enumeration is hopeless.
 
-Only products and scalar multiples are needed, so there is no general
-composition or division here.
+Only products are needed, so there is no general composition or
+division here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
+
 from .precision import DOUBLE, Precision, real, rlog
+
+# 170! is the largest factorial below the double range.
+MAX_DOUBLE_ORDER = 170
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def scale(self, factor) -> "Jet":
-        return Jet(self.center, tuple(c * factor for c in self.coeffs))
-
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated Cauchy product; centers and orders must match."""
@@ -53,11 +55,13 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
         )
     L = a.order
     ca, cb = a.coeffs, b.coeffs
-    double = isinstance(ca[0], float) and isinstance(cb[0], float)
-    acc = math.fsum if double else sum
-    out = tuple(
-        acc(ca[i] * cb[k - i] for i in range(k + 1)) for k in range(L + 1)
-    )
+    if isinstance(ca[0], float) and isinstance(cb[0], float):
+        out = tuple(
+            math.fsum(ca[i] * cb[k - i] for i in range(k + 1))
+            for k in range(L + 1)
+        )
+    else:
+        out = tuple(mpmath.fdot(ca[: k + 1], cb[k::-1]) for k in range(L + 1))
     return Jet(a.center, out)
 
 
@@ -98,35 +102,53 @@ def local_factor_jet(
     """Jet at s=1 of the local Euler factor sum_{v=0}^{b-1} (b-v) p^(-v*s).
 
     Each term p^(-v*s) expands with derivatives (-v log p)^k p^(-v), so
-    c_k = sum_v (b-v) (-v log p)^k p^(-v) / k!.  Terms with p^(-v) below
-    the working precision cannot contribute and are skipped; that keeps
-    b=1000 affordable without changing any representable digit.
+    c_k = sum_v (b-v) (-v log p)^k p^(-v) / k!; the terms of c_k are those
+    of c_(k-1) times -v log p / k, and p^(-v) is built by repeated
+    division.
+
+    Cutoff, the one truncation of the Euler product: the sum over v stops
+    at the first v past the peak v log p = order of (v log p)^order p^(-v)
+    at which the term bound max(1, v log p)^order p^(-v) falls below
+    10^-(digits + 9), digits being the working precision (17 in double).
+    Each omitted term of each c_k/b, k <= order, lies below the bound at
+    its v, and past the peak the bound decreases in v; c_0/b is at least
+    1.  The rule depends on the order: at order 40 the peak term of p = 2
+    is about 5e46, and a cutoff on p^(-v) alone drops terms far above the
+    working precision.
+
+    Double mode refuses an order above MAX_DOUBLE_ORDER: the derivative
+    ell! c_ell of such a jet needs an ell! beyond the double range.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    with prec.context():
-        logp = rlog(p, prec)
-        # p^(-v) * (v log p)^order is negligible once v log p exceeds the
-        # working digit budget by a wide margin.
-        vmax = min(
-            b - 1,
-            int((prec.effective_digits + 25) * math.log(10) / math.log(p))
-            + order
-            + 2,
+    if prec.is_double and order > MAX_DOUBLE_ORDER:
+        raise ValueError(
+            f"ell={order} exceeds {MAX_DOUBLE_ORDER}: ell! leaves the double "
+            "range; use high precision (--precision)"
         )
-        coeffs = []
-        kfac = real(1, prec)
-        pw = [real(p, prec) ** (-v) for v in range(vmax + 1)]
-        for k in range(order + 1):
-            if k > 0:
-                kfac = kfac * k
-            terms = [(b - v) * (-v * logp) ** k * pw[v] for v in range(vmax + 1)]
-            if prec.is_double:
-                coeffs.append(math.fsum(terms) / kfac)
-            else:
-                coeffs.append(sum(terms) / kfac)
+    # The bound's log is order log(max(1, x)) - x at x = v log p, so no v
+    # with x <= max(order, digits_floor) stops the sum.
+    digits_floor = (prec.effective_digits + 9) * math.log(10)
+    log_p = math.log(p)
+    stop = int(max(order, digits_floor) / log_p) + 1
+    while order * math.log(stop * log_p) - stop * log_p >= -digits_floor:
+        stop += 1
+    with prec.context():
+        terms = []  # (b-v) p^(-v), then (b-v) (-v log p)^k p^(-v) / k!
+        pv = real(1, prec)
+        for v in range(min(b, stop)):
+            terms.append((b - v) * pv)
+            pv = pv / p
+        acc = math.fsum if prec.is_double else mpmath.fsum
+        coeffs = [acc(terms)]
+        if order > 0:
+            logp = rlog(p, prec)
+            slopes = [-v * logp for v in range(len(terms))]
+            for k in range(1, order + 1):
+                terms = [t * s / k for t, s in zip(terms, slopes)]
+                coeffs.append(acc(terms))
         return Jet(real(1, prec), tuple(coeffs))
 
 

@@ -20,7 +20,9 @@ smoothness thresholds x^(j/J)) give the partition lower bound
     S(x; l) >= (log x)^l sum_j ((j-1)/J)^l [L(j) - L(j-1)],
 
 with L(i) = sum_{k in M_i} w(k)/k admitting the exact product form
-b^pi(x) * prod_{p <= x^(i/J)} sum_v (1 - v/b) p^(-v).
+b^pi(x) * prod_{p <= x^(i/J)} sum_v (1 - v/b) p^(-v).  S/|M| and every
+L(i)/|M| are read from one fold of that Euler product's jets
+(:func:`_euler_fold`).
 
 Convention: the k=1 term contributes (log 1)^0 = 1 to S(x; 0).
 """
@@ -34,10 +36,15 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
-from .jets import derivative_from_jet, jet_product, local_factor_jet
+from .jets import (
+    Jet,
+    derivative_from_jet,
+    jet_identity,
+    jet_product,
+    local_factor_jet,
+)
 from .precision import DOUBLE, Precision, constants, real, rlog
 from .primes import iterated_log
 
@@ -243,13 +250,47 @@ def S_nested(spec: ResonatorSpec, ell: int, cap: int = ENUMERATION_CAP) -> float
     return math.fsum(terms)
 
 
-def _normalized_local_jets(spec: ResonatorSpec, order: int, prec: Precision):
-    """Local factor jets scaled by 1/b, so c_0 stays O(1) per prime."""
-    binv = real(1, prec) / spec.b
-    return [
-        local_factor_jet(p, spec.b, order, prec).scale(binv)
-        for p in spec.primes
-    ]
+def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
+    """Order-``order`` jets at s=1 of prod_{p <= x^(i/J)} f_p(s), one for
+    each layer index i in ``layers`` (ascending), with the normalized
+    local factor f_p(s) = sum_{v<b} (1 - v/b) p^(-v*s).
+
+    One fold over the ascending primes: each local jet is divided by b,
+    and the running product is kept where a layer ends (layers are
+    prefixes of the ascending primes).  The product of the last layer
+    does not depend on the others; c_0 of the i-th is L(i)/|M|.
+    """
+    if order < 0:
+        raise ValueError(f"ell must be >= 0, got {order}")
+    b = spec.b
+    products = []
+    with prec.context():
+        acc = jet_identity(real(1, prec), order, prec)
+        done = 0
+        for i in layers:
+            end = len(spec.layer_primes(i))
+            factors = []
+            for p in spec.primes[done:end]:
+                local = local_factor_jet(p, b, order, prec)
+                normalized = tuple(c / b for c in local.coeffs)
+                factors.append(Jet(local.center, normalized))
+            acc = jet_product([acc, *factors], prec=prec)
+            products.append(acc)
+            done = end
+    return products
+
+
+def _s_over(product: Jet, ell: int, prec: Precision):
+    """(-1)^l F^(l)(1) from the jet of the normalized product F; refuses
+    a value beyond the double range in double mode."""
+    # + 0 turns the -0.0 of an odd ell at b = 1 into 0.0
+    value = (-1) ** ell * derivative_from_jet(product, ell) + 0
+    if prec.is_double and not math.isfinite(value):
+        raise OverflowError(
+            f"S(x; l)/|M| at ell={ell} exceeds the double range; use high "
+            "precision (--precision)"
+        )
+    return value
 
 
 def s_over_cardinality_jet(
@@ -257,13 +298,9 @@ def s_over_cardinality_jet(
 ):
     """S(x; l) / |M| via the l-th derivative of the normalized Euler
     product; overflow-safe at any scale the jet route can reach."""
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
+    (product,) = _euler_fold(spec, ell, prec, [spec.J])
     with prec.context():
-        jets = _normalized_local_jets(spec, ell, prec)
-        prod = jet_product(jets, center=real(1, prec), order=ell, prec=prec)
-        # + 0 turns the -0.0 of an odd ell at b = 1 into 0.0
-        return (-1) ** ell * derivative_from_jet(prod, ell) + 0
+        return _s_over(product, ell, prec)
 
 
 def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):
@@ -278,23 +315,9 @@ def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):
 
 def layer_product(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
     """prod_{p <= x^(i/J)} sum_{v=0}^{b-1} (1 - v/b) p^(-v): the layer sum
-    normalized by |M|.  Equals 1 at i=0."""
-    with prec.context():
-        tiny = (
-            1e-25 if prec.is_double else mpmath.mpf(10) ** (-prec.digits - 9)
-        )
-        acc = real(1, prec)
-        b = spec.b
-        for p in spec.layer_primes(i):
-            pv = real(1, prec)
-            terms = []
-            for v in range(b):
-                terms.append((1 - real(v, prec) / b) * pv)
-                pv = pv / p
-                if pv < tiny:
-                    break
-            acc = acc * (math.fsum(terms) if prec.is_double else sum(terms))
-        return acc
+    normalized by |M|, c_0 of the Euler fold.  Equals 1 at i=0."""
+    (product,) = _euler_fold(spec, 0, prec, [i])
+    return product.coeffs[0]
 
 
 def layer_sum(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
@@ -321,21 +344,26 @@ def layer_sum_brute(
     return _times(spec.b**rest, prefix_sum, prec)
 
 
+def _partition_over(products, spec: ResonatorSpec, ell: int, prec):
+    """The partition bound over |M| from the fold's products at the layer
+    boundaries 0..J, whose c_0 are the L(i)/|M|."""
+    layers = [product.coeffs[0] for product in products]
+    logx = rlog(spec.x, prec)
+    J = spec.J
+    total = real(0, prec)
+    for j in range(1, J + 1):
+        frac = real(j - 1, prec) / J
+        total += frac**ell * (layers[j] - layers[j - 1])
+    return logx**ell * total
+
+
 def partition_over_cardinality(
     spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE
 ):
     """Partition lower bound for S(x; l), divided by |M| (overflow-safe)."""
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    layers = [layer_product(spec, i, prec) for i in range(spec.J + 1)]
+    products = _euler_fold(spec, ell, prec, range(spec.J + 1))
     with prec.context():
-        logx = rlog(spec.x, prec)
-        J = spec.J
-        total = real(0, prec)
-        for j in range(1, J + 1):
-            frac = real(j - 1, prec) / J
-            total += frac**ell * (layers[j] - layers[j - 1])
-        return logx**ell * total
+        return _partition_over(products, spec, ell, prec)
 
 
 def partition_lower_bound(
@@ -418,9 +446,10 @@ def proposition_report(
     size of the neglected terms; the ratio approaches 1 from below as the
     budget shrinks.
     """
-    s_over = s_over_cardinality_jet(spec, ell, prec)
-    part = partition_over_cardinality(spec, ell, prec)
+    products = _euler_fold(spec, ell, prec, range(spec.J + 1))
     with prec.context():
+        s_over = _s_over(products[-1], ell, prec)
+        part = _partition_over(products, spec, ell, prec)
         c = constants(prec)
         logx = rlog(spec.x, prec)
         target = c.exp_gamma / (ell + 1) * logx ** (ell + 1)

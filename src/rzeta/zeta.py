@@ -93,7 +93,8 @@ class EvalPoint:
 
 def dirichlet_coefficients(cutoff: float, ell: int):
     """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
-    frequencies and coefficients of the polynomial P."""
+    frequencies and coefficients of the polynomial P.  Refuses an ell
+    whose coefficients, or their sum, leave the double range."""
     terms = math.floor(cutoff)
     if terms > MAX_SUM_TERMS:
         raise ValueError(
@@ -102,7 +103,15 @@ def dirichlet_coefficients(cutoff: float, ell: int):
         )
     n = np.arange(1, terms + 1, dtype=np.float64)
     logn = np.log(n)
-    return logn, logn**ell / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = logn**ell / n
+        total = np.sum(coeffs)
+    if not np.isfinite(total):
+        raise ValueError(
+            f"Dirichlet coefficients (log n)^{ell}/n for n <= {terms} leave "
+            f"the double range at ell={ell}"
+        )
+    return logn, coeffs
 
 
 def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:

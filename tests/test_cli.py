@@ -508,3 +508,80 @@ def test_oversized_inputs_refused_before_allocating(capsys, argv, limit):
     assert code == 1
     assert out == ""
     assert limit in err
+
+
+@pytest.mark.parametrize("precision", [(), ("--precision", "50")],
+                         ids=["double", "50-digits"])
+def test_lemma_product_is_prop_s_over_m(capsys, precision):
+    # both read c_0 of the same Euler fold: the printed strings agree
+    spec = ("--x", "10000", "--b", "1000")
+    code, out, err = invoke(capsys, "lemma", *spec, *precision,
+                            "--no-timestamp")
+    assert code == 0, err
+    product = json.loads(out)["product"]
+    code, out, err = invoke(capsys, "prop", *spec, "--J", "1", "--ell", "0",
+                            *precision, "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["S_over_M"] == product
+
+
+@pytest.mark.parametrize(
+    "argv, ell",
+    [
+        (("ssum", "--x", "13", "--b", "3", "--method", "both"), 171),
+        (("prop", "--x", "10", "--b", "3", "--J", "2"), 171),
+        (("resonate", "--x", "3", "--b", "3", "--T", "2e4"), 200),
+    ],
+    ids=["ssum", "prop", "resonate"],
+)
+def test_double_jets_refuse_ell_above_170(capsys, argv, ell):
+    # ell! leaves the double range; resonate refuses before its moments
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--ell", str(ell), "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert f"ell={ell}" in err
+    assert "--precision" in err
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "400"),
+        ("scan", "--T", "2e4", "--ell", "400", "--step", "0.06"),
+    ],
+    ids=["resonate", "scan"],
+)
+def test_unrepresentable_ell_refused_up_front(capsys, argv):
+    # (log n)^400/n overflows a double: exit 1 naming ell, no NaN, no
+    # numpy warning, no quadrature
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert "ell=400" in err
+    assert "Warning" not in err and "nan" not in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_ssum_both_methods_at_ell_170_and_171(capsys):
+    argv = ("ssum", "--x", "13", "--b", "3", "--method", "both",
+            "--no-timestamp")
+    code, out, err = invoke(capsys, *argv, "--ell", "170")
+    assert code == 0, err
+    assert json.loads(out)["rel_diff"] < 1e-12
+    code, out, err = invoke(capsys, *argv, "--ell", "171", "--precision", "50")
+    assert code == 0, err
+    assert json.loads(out)["rel_diff"] < 1e-45
+
+
+def test_s_over_m_beyond_the_double_range_refused(capsys):
+    # S/|M| is about 6.5e314 here (50 digits): exit 1 naming ell, no inf
+    code, out, err = invoke(
+        capsys, "prop", "--x", "13", "--b", "1000", "--J", "1",
+        "--ell", "170", "--no-timestamp",
+    )
+    assert code == 1
+    assert out == ""
+    assert "ell=170" in err and "double range" in err

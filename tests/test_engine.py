@@ -10,7 +10,6 @@ import rzeta
 from rzeta import quadrature
 from rzeta.engine import (
     PHI_BAND,
-    PHI_HAT_ZERO,
     Certificate,
     ParameterWarning,
     bump_decay_constant,
@@ -29,6 +28,8 @@ from rzeta.precision import EXP_GAMMA
 from rzeta.quadrature import integrate_refine
 from rzeta.resonator import ResonatorSpec, enumerate_M
 from rzeta.zeta import EvalPoint, dirichlet_poly
+
+PHI_HAT_ZERO = 0.75  # exact: plateau 1/2 plus two transitions of 1/8 each
 
 
 def test_bump_plateau_support_exact():
@@ -437,3 +438,13 @@ def test_euler_maclaurin_refusal_has_one_home(monkeypatch):
         warnings.simplefilter("ignore", ParameterWarning)
         with pytest.raises(AccuracyError, match=message):
             moment_M2(ResonatorSpec(3, 2), 600, 1, integrand_mode="oracle")
+
+
+def test_certificate_refuses_ell_before_the_moments(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("moment computed for a refused ell")
+
+    monkeypatch.setattr(rzeta.engine, "moment_M1", never)
+    monkeypatch.setattr(rzeta.engine, "moment_M2", never)
+    with pytest.raises(ValueError, match="ell=200"):
+        certificate(ResonatorSpec(3, 3), 2e4, 200)

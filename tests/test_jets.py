@@ -141,3 +141,11 @@ def test_identity_jet():
     j = jet_identity(1.0, 3)
     k = local_factor_jet(5, 2, 3)
     assert jet_mul(j, k).coeffs == k.coeffs
+
+
+def test_double_order_limit():
+    # ell! c_ell needs ell! as a double: 170! is the last that fits
+    assert len(local_factor_jet(3, 2, 170).coeffs) == 171
+    with pytest.raises(ValueError, match="ell=171.*--precision"):
+        local_factor_jet(3, 2, 171)
+    assert len(local_factor_jet(3, 2, 171, HIGH).coeffs) == 172

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rzeta.precision import HIGH
+from rzeta.precision import DOUBLE, HIGH
 from rzeta.resonator import (
     FactoredElement,
     ResonatorSpec,
@@ -25,6 +25,7 @@ from rzeta.resonator import (
     layer_sum_brute,
     max_element,
     partition_lower_bound,
+    partition_over_cardinality,
     proposition_report,
     resonator_cardinality,
     riemann_lower_prefix,
@@ -74,6 +75,37 @@ def oracle_layer(x, b, J, i):
         w = math.prod(b - e for e in exps)
         total += Fraction(w, k)
     return total
+
+
+def reference_s_over_m(x, b, ell_max, dps=120):
+    """[S(x; l)/|M| for l <= ell_max] at ``dps`` digits: the Taylor
+    coefficients of each normalized local factor summed over every
+    v < b (no cutoff), multiplied as power series."""
+    with mpmath.workdps(dps):
+        prod = [mpmath.mpf(1)] + [mpmath.mpf(0)] * ell_max
+        for p in oracle_primes(x):
+            logp = mpmath.log(p)
+            local = [
+                mpmath.fsum(
+                    (1 - mpmath.mpf(v) / b) * (-v * logp) ** k
+                    * mpmath.mpf(p) ** -v
+                    for v in range(b)
+                ) / math.factorial(k)
+                for k in range(ell_max + 1)
+            ]
+            prod = [
+                mpmath.fsum(prod[i] * local[k - i] for i in range(k + 1))
+                for k in range(ell_max + 1)
+            ]
+        return [
+            (-1) ** ell * math.factorial(ell) * prod[ell]
+            for ell in range(ell_max + 1)
+        ]
+
+
+def rel_error(value, ref):
+    with mpmath.workdps(120):
+        return abs(mpmath.mpf(value) / ref - 1)
 
 
 # ----------------------------------------------------------------- tests --
@@ -336,3 +368,39 @@ def test_spec_validation():
         ResonatorSpec(3, 0)
     with pytest.raises(ValueError):
         ResonatorSpec(3, 2, 0)
+
+
+def test_s_over_m_against_120_digit_reference():
+    # the local jets are divided by b, so no rounded 1/b biases the
+    # 168 factors the same way
+    spec = ResonatorSpec(1000, 7)
+    ref = reference_s_over_m(1000, 7, 3)
+    for ell in range(4):
+        assert rel_error(s_over_cardinality_jet(spec, ell), ref[ell]) < 5e-15
+        hi = s_over_cardinality_jet(spec, ell, HIGH)
+        assert rel_error(hi, ref[ell]) < 3e-50
+
+
+@pytest.mark.parametrize("ell", [20, 40])
+def test_local_cutoff_follows_the_order(ell):
+    # at p = 2 the terms (v log 2)^ell 2^(-v) peak near 2e17 (ell = 20)
+    # and 5e46 (ell = 40); a cutoff on 2^(-v) alone drops terms far
+    # above the working precision
+    spec = ResonatorSpec(5, 400)
+    ref = reference_s_over_m(5, 400, ell)[ell]
+    assert rel_error(s_over_cardinality_jet(spec, ell), ref) < 1e-14
+    assert rel_error(s_over_cardinality_jet(spec, ell, HIGH), ref) < 1e-48
+
+
+@pytest.mark.parametrize("prec", [DOUBLE, HIGH], ids=["double", "high"])
+def test_proposition_reads_the_public_values(prec):
+    for spec, ell in [
+        (ResonatorSpec(30, 4, J=3), 2),
+        (ResonatorSpec(100, 50, J=4), 1),
+        (ResonatorSpec(3, 1, J=2), 1),
+    ]:
+        rep = proposition_report(spec, ell, prec)
+        assert rep.S_over_M == s_over_cardinality_jet(spec, ell, prec)
+        assert rep.partition_bound_over_M == partition_over_cardinality(
+            spec, ell, prec
+        )

@@ -1,6 +1,7 @@
 """Dirichlet polynomial, Euler-Maclaurin zeta, Cauchy-circle derivatives."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from rzeta.zeta import (
     approx_error_probe,
     cauchy_derivative,
     cauchy_ring,
+    dirichlet_coefficients,
     dirichlet_poly,
     zeta_deriv_cauchy,
     zeta_em,
@@ -235,3 +237,14 @@ def test_bernoulli_table_is_exact():
     for k, value in enumerate(table):
         assert value == Fraction(*mpmath.bernfrac(k))
     assert _bernoulli_table(26) is table  # computed once
+
+
+def test_dirichlet_coefficients_refuse_the_double_range():
+    # (log n)^400/n passes 1e308 below n = 2e4: refused, without a numpy
+    # warning, before any NaN reaches an integrand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ell=400"):
+            dirichlet_coefficients(2e4, 400)
+        logn, coeffs = dirichlet_coefficients(2e4, 170)
+    assert np.all(np.isfinite(coeffs))
