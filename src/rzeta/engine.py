@@ -17,15 +17,23 @@ The weight phi is the standard smooth partition-of-unity step: 0 off
 psi(u) = g(u)/(g(u)+g(1-u)), g(u) = exp(-1/u).  The exact symmetry
 psi(u) + psi(1-u) = 1 makes phihat(0) = 3/4 exactly, which the tests pin.
 
-Each moment integrand is a band-limited factor (R, and P for M2) times
-phi(t/T), so the trapezoid rule on a grid past the band is exact up to
-phihat's far tail; :mod:`rzeta.quadrature` sizes the grid from that band
-and refines by nested halving.  Every level is one uniform grid, so the
-Dirichlet polynomial runs through one FFT-gridded transform per level.
+R and P have finite spectra, so the moments are finite sums: by
+
+    integral (m/(n m'))^(it) phi(t/T) dt = T phihat(T log(n m'/m)),
+
+M1 = T sum_{m, m'} phihat(T log(m'/m)) and M2 = T sum_{m, m'} sum_n c_n
+phihat(T log(n m'/m)) for P(t) = sum c_n n^(-it).  Only the window
+|xi| < PHI_BAND = 2000 counts (beyond it |phihat| < 1e-15), so each
+moment is a sum over the few (n, m, m') in it, at a cost that does not
+grow with T.  Zeta itself has no finite spectrum: the oracle mode of
+:func:`moment_M2` integrates over [T, 2T] by the nested trapezoid rule of
+:mod:`rzeta.quadrature`, whose grid is sized from the integrand's band
+and whose levels each run one FFT-gridded transform.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -159,11 +167,6 @@ def resonator_eval(elements: list[FactoredElement], t: float) -> complex:
     return exp_sum_at(logs, np.ones_like(logs), -t)
 
 
-def _resonator_logs(spec: ResonatorSpec) -> np.ndarray:
-    elements = enumerate_M(spec, cap=ENGINE_ELEMENT_CAP)
-    return np.array(sorted(e.log_value() for e in elements))
-
-
 def _peak_exceeds_sqrt(spec: ResonatorSpec, T: float) -> bool:
     """(max M)^2 > T, decided exactly.
 
@@ -190,21 +193,77 @@ def _warn_if_peak_large(spec: ResonatorSpec, T: float, stacklevel: int):
 
 # ---------------------------------------------------------------- moments --
 
-def _moment(spec: ResonatorSpec, T: float, poly, nu_poly: float):
-    """integral of poly * |R|^2 phi(t/T) over [T, 2T] by the trapezoid
-    rule, for a grid evaluator ``poly`` of band ``nu_poly``; ``poly=None``
-    integrates |R|^2 phi(t/T) alone (M1)."""
+def _resonator(spec: ResonatorSpec, T: float):
+    """Elements of M as (log m, m), ascending; warns when max M exceeds
+    sqrt(T).  Shared preamble of the two moment routes."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    _warn_if_peak_large(spec, T, stacklevel=4)
-    logs = _resonator_logs(spec)
+    _warn_if_peak_large(spec, T, stacklevel=5)
+    elements = enumerate_M(spec, cap=ENGINE_ELEMENT_CAP)
+    return sorted((e.log_value(), e.value()) for e in elements)
+
+
+# Slack on the rounded log bounds that pick candidate pairs; membership is
+# then decided by the exact |xi| < PHI_BAND test.
+_LOG_SLACK = 1e-9
+
+
+def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
+    """integral of P(t) |R(t)|^2 phi(t/T) dt for P(t) = sum c_n n^(-it),
+    n <= len(coeffs), as the finite sum
+
+        T * sum_{m, m' in M} sum_{n, |xi| < PHI_BAND} c_n phihat(xi),
+        xi = T log(n m'/m),
+
+    since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).  xi comes
+    from the reduced fraction n m'/m = p/q as T log1p((p - q)/q) in exact
+    integers, and phihat is evaluated once per fraction.
+    """
+    elements = _resonator(spec, T)
+    logs = [log_m for log_m, _ in elements]
+    terms = len(coeffs)
+    if terms == 0:
+        return 0j
+    reach = PHI_BAND / T  # |log(n m'/m)| < reach inside the window
+    span = math.log(terms)
+    phihat = {}
+    re, im = [], []
+    for log_m, m in elements:
+        # 1 <= n <= terms confines log m' to [log m - span, log m] +- reach
+        first = bisect.bisect_left(logs, log_m - span - reach - _LOG_SLACK)
+        last = bisect.bisect_right(logs, log_m + reach + _LOG_SLACK)
+        for log_m2, m2 in elements[first:last]:
+            low = min(log_m - log_m2 - reach, span)
+            high = min(log_m - log_m2 + reach, span)
+            lo = max(1, math.floor(math.exp(low)))
+            hi = min(terms, math.ceil(math.exp(high)))
+            for n in range(lo, hi + 1):
+                g = math.gcd(n * m2, m)
+                key = (n * m2 // g, m // g)
+                if key not in phihat:
+                    p, q = key
+                    xi = T * math.log1p((p - q) / q)
+                    inside = abs(xi) < PHI_BAND
+                    phihat[key] = bump_phi_hat(xi) if inside else None
+                value = phihat[key]
+                if value is not None:
+                    term = coeffs[n - 1] * value
+                    re.append(term.real)
+                    im.append(term.imag)
+    return T * complex(math.fsum(re), math.fsum(im))
+
+
+def _moment(spec: ResonatorSpec, T: float, poly, nu_poly: float):
+    """integral of poly * |R|^2 phi(t/T) over [T, 2T] by the trapezoid
+    rule, for a grid evaluator ``poly`` of band ``nu_poly``: the route for
+    integrands without a finite spectrum."""
+    logs = np.array([log_m for log_m, _ in _resonator(spec, T)])
     ones = np.ones_like(logs)
 
     def integrand(t0, dt, count):
-        p = 1.0 if poly is None else poly(t0, dt, count)
         r = exp_sum_on_grid(logs, ones, t0, dt, count)
         u = (t0 + dt * np.arange(count)) / T
-        return p * (r.real**2 + r.imag**2) * bump_phi(u)
+        return poly(t0, dt, count) * (r.real**2 + r.imag**2) * bump_phi(u)
 
     # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
     nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
@@ -212,18 +271,10 @@ def _moment(spec: ResonatorSpec, T: float, poly, nu_poly: float):
 
 
 def moment_M1(spec: ResonatorSpec, T: float) -> float:
-    """integral |R(t)|^2 phi(t/T) dt over [T, 2T] by the trapezoid rule."""
-    return float(_moment(spec, T, None, 0.0).real)
-
-
-def _dirichlet_grid_evaluator(T: float, ell: int):
-    """Returns f(t0, dt, count) -> P(t) on uniform grids."""
-    logn, coeffs = dirichlet_coefficients(T, ell)
-
-    def evaluate(t0, dt, count):
-        return exp_sum_on_grid(logn, coeffs, t0, dt, count)
-
-    return evaluate, float(logn[-1]) if logn.size else 0.0
+    """integral |R(t)|^2 phi(t/T) dt = T * sum phihat(T log(m'/m)) over the
+    pairs m, m' in M with |T log(m'/m)| < PHI_BAND (the window sum with
+    P = 1)."""
+    return _window_sum(spec, T, np.ones(1)).real
 
 
 def _cauchy_grid_evaluator(T: float, ell: int):
@@ -261,18 +312,21 @@ def moment_M2(
 ) -> complex:
     """integral of the zeta-derivative stand-in times |R|^2 phi(t/T).
 
-    ``integrand_mode="dirichlet"`` uses the truncated polynomial (the
-    certificate route); ``"oracle"`` uses Euler-Maclaurin zeta on a
-    Cauchy circle, fully independent of the polynomial.
+    ``integrand_mode="dirichlet"`` uses the truncated polynomial P (the
+    certificate route), whose finite spectrum makes the moment the window
+    sum T * sum c_n phihat(T log(n m'/m)) over |xi| < PHI_BAND.
+    ``"oracle"`` uses Euler-Maclaurin zeta on a Cauchy circle, fully
+    independent of the polynomial; zeta has no finite spectrum, so that
+    mode integrates over [T, 2T] by the nested trapezoid rule.
     """
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     if integrand_mode not in ("dirichlet", "oracle"):
         raise ValueError(f"unknown integrand mode {integrand_mode!r}")
     if integrand_mode == "dirichlet":
-        poly, nu_poly = _dirichlet_grid_evaluator(T, ell)
-    else:
-        poly, nu_poly = _cauchy_grid_evaluator(T, ell)
+        _, coeffs = dirichlet_coefficients(T, ell)
+        return _window_sum(spec, T, coeffs)
+    poly, nu_poly = _cauchy_grid_evaluator(T, ell)
     return complex(_moment(spec, T, poly, nu_poly))
 
 
@@ -289,6 +343,10 @@ class Certificate:
 def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     """|M2|/M1 (a rigorous lower bound for the windowed sup of |P|) next
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
+
+    Both moments are window sums T * sum c_n phihat(T log(n m'/m)) over
+    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2` in the
+    "dirichlet" mode); no quadrature runs outside phihat itself.
     """
     if _peak_exceeds_sqrt(spec, T):
         raise ValueError(

@@ -188,8 +188,8 @@ def _weighted_sum(
 
     Double mode sums float arrays; elements beyond the double range come
     out as k = inf, and their terms, below double resolution of any total
-    here, as 0.  High precision sums exact k and w in descending order of
-    k.
+    here, as 0; an ell whose terms overflow is refused.  High precision
+    sums exact k and w in descending order of k.
     """
     _refuse_over_cap(primes, b, cap)
     if prec.is_double:
@@ -204,8 +204,14 @@ def _weighted_sum(
             logpw = np.arange(b) * math.log(p)
             logk = (logk[:, None] + logpw[None, :]).ravel()
             w = (w[:, None] * wfac[None, :]).ravel()
-        with np.errstate(invalid="ignore"):
-            return float(np.sum(w * logk**ell / k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(w * logk**ell / k))
+        if not math.isfinite(total):
+            raise OverflowError(
+                f"the terms w(k) (log k)^{ell}/k overflow a double at "
+                f"ell={ell}; use high precision (--precision)"
+            )
+        return total
     with prec.context():
         elements = [(1, 1, real(0, prec))]
         for p in primes:

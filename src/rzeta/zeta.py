@@ -98,7 +98,7 @@ def dirichlet_coefficients(cutoff: float, ell: int):
     terms = math.floor(cutoff)
     if terms > MAX_SUM_TERMS:
         raise ValueError(
-            f"Dirichlet polynomial of {terms} terms exceeds the limit of "
+            f"Dirichlet polynomial of {terms:.3g} terms exceeds the limit of "
             f"{MAX_SUM_TERMS}"
         )
     n = np.arange(1, terms + 1, dtype=np.float64)
@@ -175,7 +175,13 @@ def zeta_em_array(
     if em_order < 1:
         raise ValueError(f"em_order must be >= 1, got {em_order}")
     if cut is None:
-        cut = _em_cut_for(float(np.max(np.abs(s.imag)))) + 2 * em_order
+        height = float(np.max(np.abs(s.imag)))
+        cut = _em_cut_for(height) + 2 * em_order
+        if cut > MAX_SUM_TERMS:
+            raise ValueError(
+                f"height t = {height:.6g} needs an Euler-Maclaurin head sum "
+                f"of {cut:.3g} terms, over the limit of {MAX_SUM_TERMS}"
+            )
     if not 2 <= cut <= MAX_SUM_TERMS:
         raise ValueError(f"cut must lie in [2, {MAX_SUM_TERMS}], got {cut}")
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath
 import pytest
@@ -320,14 +321,19 @@ def test_resonate_refuses_max_element_above_sqrt_T_quickly(capsys):
     assert time.perf_counter() - start < 5.0
 
 
-def test_resonate_beyond_node_budget_exits_2(capsys):
+def test_resonate_at_T_1e7_exits_0(capsys):
+    # the moments are window sums, so no node budget limits T; with
+    # m <= 36, every n m'/m != 1 has |T log(n m'/m)| >= T/72 > PHI_BAND,
+    # so only the diagonal is in the window and the ratio is S(x; l)/|M|
+    start = time.perf_counter()
     code, out, err = invoke(
         capsys, "resonate", "--x", "3", "--b", "3", "--T", "1e7",
         "--ell", "1", "--no-timestamp",
     )
-    assert code == 2  # accuracy failure, refused before any integrand call
-    assert out == ""
-    assert "node budget" in err
+    assert code == 0, err
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(out)
+    assert abs(doc["ratio"] - doc["rhs_prediction"]) <= 1e-12
 
 
 def test_resonate_with_vanishing_moment(capsys):
@@ -585,3 +591,56 @@ def test_s_over_m_beyond_the_double_range_refused(capsys):
     assert code == 1
     assert out == ""
     assert "ell=170" in err and "double range" in err
+
+
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_brute_sum_refuses_ell_beyond_double(method):
+    # (log k)^250 overflows a double: one error line naming ell and the
+    # way out, and no numpy warning before it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    argv = ("ssum", "--x", "13", "--b", "3", "--ell", "250",
+            "--method", method, "--no-timestamp")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rzeta.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "ell=250" in proc.stderr and "--precision" in proc.stderr
+
+
+def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
+    code, out, err = invoke(
+        capsys, "ssum", "--x", "13", "--b", "3", "--ell", "250",
+        "--method", "brute", "--precision", "50", "--no-timestamp",
+    )
+    assert code == 0, err
+    assert json.loads(out)["S"].endswith("e+319")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("zeta", "--T", "1e5", "--t", "1e9", "--ell", "1", "--oracle"),
+         ("t = 1e+09", "10000000")),
+        (("resonate", "--x", "2", "--b", "1", "--T", "1e300", "--ell", "0"),
+         ("1e+300 terms", "10000000")),
+        (("zeta", "--T", "1e300", "--t", "1e300", "--ell", "0"),
+         ("1e+300 terms", "10000000")),
+    ],
+    ids=["oracle-height", "resonate-T", "zeta-T"],
+)
+def test_size_refusals_name_the_input_readably(capsys, argv, names):
+    # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept
+    # out of the error text measured here
+    with warnings.catch_warnings(record=True):
+        code, out, err = invoke(capsys, *argv, "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert len(err) < 200, err
+    for name in names:
+        assert name in err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rzeta
+from quadrature_reference import quadrature_M1, quadrature_M2
 from rzeta import quadrature
 from rzeta.engine import (
     PHI_BAND,
@@ -224,9 +225,9 @@ def test_certify_moments_converge_at_first_refinement(monkeypatch):
         return original(f, a, width, panels, order, **kwargs)
 
     monkeypatch.setattr(quadrature, "_level_value", counting)
-    m1 = moment_M1(spec, T)
+    m1 = quadrature_M1(spec, T)
     assert len(levels) == 2
-    moment_M2(spec, T, 1)
+    quadrature_M2(spec, T, 1)
     assert len(levels) == 4
     assert abs(m1 / (0.75 * T * 9) - 1) <= 1e-12
 
@@ -267,8 +268,9 @@ def test_quadrature_node_budget_refuses_before_evaluating(monkeypatch):
 
 
 def test_default_node_budget_refuses_large_T_before_evaluating(monkeypatch):
-    # the default budget is the out-of-memory guard for user-supplied T:
-    # M1 at T = 1e7 needs 6.8M nodes and M2 at T = 3e6 10.6M per level
+    # the default budget is the out-of-memory guard of the quadrature
+    # moments (the oracle mode and the reference): M1 at T = 1e7 needs
+    # 6.8M nodes and M2 at T = 3e6 10.6M per level
     levels = []
     original = quadrature._level_value
 
@@ -279,9 +281,9 @@ def test_default_node_budget_refuses_large_T_before_evaluating(monkeypatch):
     monkeypatch.setattr(quadrature, "_level_value", counting)
     spec = ResonatorSpec(3, 3)
     with pytest.raises(AccuracyError, match="budget"):
-        moment_M1(spec, 1e7)
+        quadrature_M1(spec, 1e7)
     with pytest.raises(AccuracyError, match="budget"):
-        moment_M2(spec, 3e6, 1)
+        quadrature_M2(spec, 3e6, 1)
     assert levels == []
 
 
@@ -322,6 +324,61 @@ def test_moment_M2_trivial_b1():
         m2 = moment_M2(spec, T, 0)
         m1 = moment_M1(spec, T)
     assert abs(abs(m2) / m1 - 1) <= 0.02
+
+
+@pytest.mark.parametrize("T", [2e4, 1e5])
+def test_spectral_M1_matches_quadrature(T):
+    spec = ResonatorSpec(3, 3)
+    ref = quadrature_M1(spec, T)
+    assert abs(moment_M1(spec, T) - ref) <= 1e-8 * ref
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+@pytest.mark.parametrize("T", [2e4, 1e5])
+def test_spectral_M2_matches_quadrature(T, ell):
+    spec = ResonatorSpec(3, 3)
+    ref = quadrature_M2(spec, T, ell)
+    assert abs(moment_M2(spec, T, ell) - ref) <= 1e-8 * abs(ref)
+
+
+# M1 and |M2| for M = divisors of 36 at T = 2e4, to 40 digits: phihat by
+# mpmath.quad on the transition, window |xi| < 2 * PHI_BAND
+REFERENCE_M1 = 135000.0
+REFERENCE_M2_ABS = {
+    0: 240833.33333183933369604,
+    1: 121172.20670018133817808,
+    2: 170403.56003309763928753,
+}
+
+
+@pytest.mark.parametrize("ell", sorted(REFERENCE_M2_ABS))
+def test_moments_match_40_digit_reference(ell):
+    spec = ResonatorSpec(3, 3)
+    assert abs(moment_M1(spec, 2e4) / REFERENCE_M1 - 1) <= 5e-15
+    got = abs(moment_M2(spec, 2e4, ell))
+    assert abs(got / REFERENCE_M2_ABS[ell] - 1) <= 5e-15
+
+
+def test_certificate_moments_run_no_quadrature(monkeypatch):
+    # the moments of P are window sums: no grid transform of R or P, and
+    # integrate_refine only inside bump_phi_hat
+    def never(*args, **kwargs):
+        raise AssertionError("moment integrand evaluated on a grid")
+
+    calls = []
+    original = rzeta.engine.bump_phi_hat
+
+    def counting(xi):
+        calls.append(xi)
+        return original(xi)
+
+    monkeypatch.setattr(rzeta.engine, "exp_sum_on_grid", never)
+    monkeypatch.setattr(rzeta.engine, "bump_phi_hat", counting)
+    moment_M2(ResonatorSpec(3, 3), 2e4, 1)
+    # one phihat per distinct reduced fraction n m'/m in the window
+    assert len(calls) == len(set(calls)) > 1
+    cert = certificate(ResonatorSpec(3, 3), 2e4, 1)
+    assert cert.ratio == pytest.approx(cert.rhs_prediction, rel=1e-6)
 
 
 def test_certificate_small():
