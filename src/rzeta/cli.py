@@ -63,7 +63,12 @@ def _resolve_precision(flag_value: int | None) -> Precision:
     if flag_value is None:
         env = os.environ.get(ENV_PRECISION, "").strip()
         if env:
-            flag_value = int(env)
+            try:
+                flag_value = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{ENV_PRECISION}: invalid int value: {env!r}"
+                ) from None
     if flag_value in (None, 0):
         return DOUBLE
     return Precision(flag_value)

@@ -25,10 +25,9 @@ M1 = T sum_{m, m'} phihat(T log(m'/m)) and M2 = T sum_{m, m'} sum_n c_n
 phihat(T log(n m'/m)) for P(t) = sum c_n n^(-it).  Only the window
 |xi| < PHI_BAND = 2000 counts (beyond it |phihat| < 1e-15), so each
 moment is a sum over the few (n, m, m') in it, at a cost that does not
-grow with T.  Zeta itself has no finite spectrum: the oracle mode of
-:func:`moment_M2` integrates over [T, 2T] by the nested trapezoid rule of
-:mod:`rzeta.quadrature`, whose grid is sized from the integrand's band
-and whose levels each run one FFT-gridded transform.
+grow with T.  This is the one route for each moment; integrating over
+[T, 2T] by quadrature, with P or with Euler-Maclaurin zeta, is kept as
+the tests' independent reference (``tests/quadrature_reference.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .gridsum import exp_sum_at, exp_sum_on_grid
 from .primes import iterated_log
-from .quadrature import MAX_NODES_PER_LEVEL, integrate_refine
+from .quadrature import integrate_refine
 from .resonator import (
     FactoredElement,
     ResonatorSpec,
@@ -51,17 +50,16 @@ from .resonator import (
     max_element,
     s_over_cardinality_jet,
 )
-from .zeta import (
-    EM_ORDER,
-    RING_NODES,
-    RING_RADIUS,
-    _em_cut_for,
-    _em_tail_terms,
-    cauchy_ring,
-    dirichlet_coefficients,
-)
+from .zeta import dirichlet_coefficients
+# unused here; perfbench's tracer patches engine._em_tail_terms (drop both)
+from .zeta import _em_tail_terms  # noqa: F401
 
 ENGINE_ELEMENT_CAP = 4096
+# Refusal above this many scan points: the guard against out-of-memory
+# scans at large T.  A scan peaks about 100 bytes per point above its
+# inputs, linear in the point count (tracemalloc, 0.29M to 1M points at
+# T = 1e4 to 5e4: 99 MB at 1M), so 5M points stay near 500 MB.
+MAX_SCAN_POINTS = 5_000_000
 
 
 class ParameterWarning(UserWarning):
@@ -195,7 +193,7 @@ def _warn_if_peak_large(spec: ResonatorSpec, T: float, stacklevel: int):
 
 def _resonator(spec: ResonatorSpec, T: float):
     """Elements of M as (log m, m), ascending; warns when max M exceeds
-    sqrt(T).  Shared preamble of the two moment routes."""
+    sqrt(T)."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     _warn_if_peak_large(spec, T, stacklevel=5)
@@ -253,23 +251,6 @@ def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
     return T * complex(math.fsum(re), math.fsum(im))
 
 
-def _moment(spec: ResonatorSpec, T: float, poly, nu_poly: float):
-    """integral of poly * |R|^2 phi(t/T) over [T, 2T] by the trapezoid
-    rule, for a grid evaluator ``poly`` of band ``nu_poly``: the route for
-    integrands without a finite spectrum."""
-    logs = np.array([log_m for log_m, _ in _resonator(spec, T)])
-    ones = np.ones_like(logs)
-
-    def integrand(t0, dt, count):
-        r = exp_sum_on_grid(logs, ones, t0, dt, count)
-        u = (t0 + dt * np.arange(count)) / T
-        return poly(t0, dt, count) * (r.real**2 + r.imag**2) * bump_phi(u)
-
-    # P's frequencies lie in [-nu_poly, 0] and |R|^2's in +-log max M.
-    nu_max = nu_poly + float(logs[-1]) + PHI_BAND / T
-    return integrate_refine(integrand, T, 2 * T, nu_max)
-
-
 def moment_M1(spec: ResonatorSpec, T: float) -> float:
     """integral |R(t)|^2 phi(t/T) dt = T * sum phihat(T log(m'/m)) over the
     pairs m, m' in M with |T log(m'/m)| < PHI_BAND (the window sum with
@@ -277,57 +258,15 @@ def moment_M1(spec: ResonatorSpec, T: float) -> float:
     return _window_sum(spec, T, np.ones(1)).real
 
 
-def _cauchy_grid_evaluator(T: float, ell: int):
-    """Returns f(t0, dt, count) -> (-1)^l zeta^(l)(1 + i t) on uniform
-    grids, via Euler-Maclaurin on zeta's Cauchy circle collapsed into NUFFT
-    coefficients plus vectorized boundary terms."""
-    cut = _em_cut_for(2 * T + RING_RADIUS) + 2 * EM_ORDER
-    n = np.arange(1, cut, dtype=np.float64)
-    logn = np.log(n)
-    # s = 1 + ring + i t
-    ring, cauchy_w = cauchy_ring(ell, RING_RADIUS, RING_NODES)
-    # Collapse the circle into per-n coefficients: sum_j w_j n^(-1-ring_j)
-    coeffs = np.zeros(logn.size, dtype=np.complex128)
-    for j in range(RING_NODES):
-        coeffs += cauchy_w[j] * np.exp(-(1.0 + ring[j]) * logn)
-    sign = (-1) ** ell
-
-    def evaluate(t0, dt, count):
-        main = exp_sum_on_grid(logn, coeffs, t0, dt, count)
-        t = t0 + dt * np.arange(count)
-        tail = np.zeros(count, dtype=np.complex128)
-        for j in range(RING_NODES):
-            s = (1.0 + ring[j]) + 1j * t
-            tail += cauchy_w[j] * _em_tail_terms(s, cut, EM_ORDER)
-        return sign * (main + tail)
-
-    return evaluate, float(logn[-1]) if logn.size else 0.0
-
-
-def moment_M2(
-    spec: ResonatorSpec,
-    T: float,
-    ell: int,
-    integrand_mode: str = "dirichlet",
-) -> complex:
-    """integral of the zeta-derivative stand-in times |R|^2 phi(t/T).
-
-    ``integrand_mode="dirichlet"`` uses the truncated polynomial P (the
-    certificate route), whose finite spectrum makes the moment the window
-    sum T * sum c_n phihat(T log(n m'/m)) over |xi| < PHI_BAND.
-    ``"oracle"`` uses Euler-Maclaurin zeta on a Cauchy circle, fully
-    independent of the polynomial; zeta has no finite spectrum, so that
-    mode integrates over [T, 2T] by the nested trapezoid rule.
-    """
+def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
+    """integral P(t) |R(t)|^2 phi(t/T) dt for the truncated polynomial P
+    standing in for (-1)^l zeta^(l)(1+it): its finite spectrum makes the
+    moment the window sum T * sum c_n phihat(T log(n m'/m)) over
+    |xi| < PHI_BAND."""
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    if integrand_mode not in ("dirichlet", "oracle"):
-        raise ValueError(f"unknown integrand mode {integrand_mode!r}")
-    if integrand_mode == "dirichlet":
-        _, coeffs = dirichlet_coefficients(T, ell)
-        return _window_sum(spec, T, coeffs)
-    poly, nu_poly = _cauchy_grid_evaluator(T, ell)
-    return complex(_moment(spec, T, poly, nu_poly))
+    _, coeffs = dirichlet_coefficients(T, ell)
+    return _window_sum(spec, T, coeffs)
 
 
 # ------------------------------------------------------------ certificate --
@@ -345,18 +284,18 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
 
     Both moments are window sums T * sum c_n phihat(T log(n m'/m)) over
-    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2` in the
-    "dirichlet" mode); no quadrature runs outside phihat itself.
+    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2`); no quadrature
+    runs outside phihat itself.
     """
     if _peak_exceeds_sqrt(spec, T):
         raise ValueError(
             f"max resonator element prod_(p <= {spec.x:g}) p^{spec.b - 1} "
             f"exceeds sqrt(T) = {math.sqrt(T):.1f}"
         )
-    # the jets refuse an ell they cannot represent before any quadrature
+    # the jets refuse an ell they cannot represent before the moments run
     rhs = float(s_over_cardinality_jet(spec, ell))
     m1 = moment_M1(spec, T)
-    m2 = moment_M2(spec, T, ell, integrand_mode="dirichlet")
+    m2 = moment_M2(spec, T, ell)
     return Certificate(
         ratio=abs(m2) / m1, rhs_prediction=rhs, M1=m1, M2_abs=abs(m2)
     )
@@ -473,10 +412,10 @@ def scan_samples(T: float, ell: int, grid_step: float):
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     count = int(math.ceil(T / grid_step)) + 1
-    if count > MAX_NODES_PER_LEVEL:
+    if count > MAX_SCAN_POINTS:
         raise ValueError(
-            f"scan of {count} grid points exceeds the limit of "
-            f"{MAX_NODES_PER_LEVEL}"
+            f"scan of {count:.3g} grid points exceeds the limit of "
+            f"{MAX_SCAN_POINTS}"
         )
     step = T / (count - 1)
     logn, coeffs = dirichlet_coefficients(T, ell)

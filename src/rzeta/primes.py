@@ -31,8 +31,12 @@ def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit`` (>= 2)."""
     limit = int(limit)
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
+        try:
+            shown = f"{limit:.3g}"
+        except OverflowError:  # an int past the double range
+            shown = f"a {len(str(limit))}-digit integer"
         raise ValueError(
-            f"sieve limit must lie in [2, {MAX_SIEVE_LIMIT}], got {limit}"
+            f"sieve limit must lie in [2, {MAX_SIEVE_LIMIT}], got {shown}"
         )
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False

@@ -631,8 +631,12 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("1e+300 terms", "10000000")),
         (("zeta", "--T", "1e300", "--t", "1e300", "--ell", "0"),
          ("1e+300 terms", "10000000")),
+        (("scan", "--T", "1e300", "--ell", "0", "--step", "1e-3"),
+         ("1e+303 grid points", "5000000")),
+        (("ssum", "--x", "1e300", "--b", "3", "--ell", "1"),
+         ("sieve limit", "got 1e+300", "100000000")),
     ],
-    ids=["oracle-height", "resonate-T", "zeta-T"],
+    ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept
@@ -644,3 +648,14 @@ def test_size_refusals_name_the_input_readably(capsys, argv, names):
     assert len(err) < 200, err
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("value", ["abc", "60.5"])
+def test_bad_precision_env_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("RZ_PRECISION", value)
+    code, out, err = invoke(
+        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "0", "--no-timestamp"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: RZ_PRECISION") and repr(value) in err

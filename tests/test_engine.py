@@ -1,5 +1,6 @@
 """Weight function, moments, certificate, scan at small scale."""
 
+import inspect
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import rzeta
-from quadrature_reference import quadrature_M1, quadrature_M2
+from quadrature_reference import oracle_M2, quadrature_M1, quadrature_M2
 from rzeta import quadrature
 from rzeta.engine import (
     PHI_BAND,
@@ -269,8 +270,9 @@ def test_quadrature_node_budget_refuses_before_evaluating(monkeypatch):
 
 def test_default_node_budget_refuses_large_T_before_evaluating(monkeypatch):
     # the default budget is the out-of-memory guard of the quadrature
-    # moments (the oracle mode and the reference): M1 at T = 1e7 needs
-    # 6.8M nodes and M2 at T = 3e6 10.6M per level
+    # references: M1 at T = 1e7 needs 6.8M nodes, M2 at T = 3e6 10.6M and
+    # the oracle M2 at T = 2e6 6.8M per level; the oracle's ring
+    # coefficients wait for the first level, so its refusal is immediate
     levels = []
     original = quadrature._level_value
 
@@ -284,6 +286,8 @@ def test_default_node_budget_refuses_large_T_before_evaluating(monkeypatch):
         quadrature_M1(spec, 1e7)
     with pytest.raises(AccuracyError, match="budget"):
         quadrature_M2(spec, 3e6, 1)
+    with pytest.raises(AccuracyError, match="budget"):
+        oracle_M2(spec, 2e6, 1)
     assert levels == []
 
 
@@ -465,13 +469,18 @@ def test_moment_M2_oracle_vs_dirichlet_tiny():
     T = 600.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
-        m2d = moment_M2(spec, T, 1, integrand_mode="dirichlet")
-        m2o = moment_M2(spec, T, 1, integrand_mode="oracle")
+        m2d = moment_M2(spec, T, 1)
+        m2o = oracle_M2(spec, T, 1)
         m1 = moment_M1(spec, T)
     bound = 10 * math.log(math.log(T)) * m1
     assert abs(m2d - m2o) <= bound
     # and the oracle mode is not wildly off the main term
     assert abs(m2o) == pytest.approx(abs(m2d), rel=0.2)
+
+
+def test_moment_M2_has_one_route():
+    params = inspect.signature(moment_M2).parameters
+    assert list(params) == ["spec", "T", "ell"]
 
 
 def test_vanishing_moment_converges():
@@ -480,7 +489,7 @@ def test_vanishing_moment_converges():
     # what is left is the oracle's own error (1e-8 per point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
-        m2 = moment_M2(ResonatorSpec(2, 1), 1e3, 1, integrand_mode="oracle")
+        m2 = oracle_M2(ResonatorSpec(2, 1), 1e3, 1)
         m1 = moment_M1(ResonatorSpec(2, 1), 1e3)
     assert abs(m2) <= 1e-8 * m1
 
@@ -494,7 +503,7 @@ def test_euler_maclaurin_refusal_has_one_home(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
         with pytest.raises(AccuracyError, match=message):
-            moment_M2(ResonatorSpec(3, 2), 600, 1, integrand_mode="oracle")
+            oracle_M2(ResonatorSpec(3, 2), 600, 1)
 
 
 def test_certificate_refuses_ell_before_the_moments(monkeypatch):
