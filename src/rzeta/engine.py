@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import count_text
 from .gridsum import exp_sum_at, exp_sum_on_grid
 from .primes import iterated_log
 from .quadrature import integrate_refine
@@ -414,7 +415,7 @@ def scan_samples(T: float, ell: int, grid_step: float):
     count = int(math.ceil(T / grid_step)) + 1
     if count > MAX_SCAN_POINTS:
         raise ValueError(
-            f"scan of {count:.3g} grid points exceeds the limit of "
+            f"scan of {count_text(count)} grid points exceeds the limit of "
             f"{MAX_SCAN_POINTS}"
         )
     step = T / (count - 1)

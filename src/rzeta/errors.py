@@ -10,3 +10,14 @@ parameters may catch it, and the CLI maps it to a distinct exit code.
 
 class AccuracyError(RuntimeError):
     """A numerical routine could not meet its accuracy contract."""
+
+
+def count_text(count: int) -> str:
+    """A count for a size refusal: exact below 1e15, where a limit it is
+    compared with stays readable, and to 3 digits above."""
+    if abs(count) < 10**15:
+        return str(count)
+    try:
+        return f"{count:.3g}"
+    except OverflowError:  # an int past the double range
+        return f"a {len(str(count))}-digit integer"

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import count_text
 from .precision import DOUBLE, Precision, constants, real, rlog
 
 MAX_SIEVE_LIMIT = 100_000_000  # refusal above: a sieve byte per integer
@@ -31,12 +32,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including ``limit`` (>= 2)."""
     limit = int(limit)
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
-        try:
-            shown = f"{limit:.3g}"
-        except OverflowError:  # an int past the double range
-            shown = f"a {len(str(limit))}-digit integer"
         raise ValueError(
-            f"sieve limit must lie in [2, {MAX_SIEVE_LIMIT}], got {shown}"
+            f"sieve limit must lie in [2, {MAX_SIEVE_LIMIT}], got "
+            f"{count_text(limit)}"
         )
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False

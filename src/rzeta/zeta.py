@@ -9,6 +9,11 @@ T <= t <= 2T and l up to (log T)/(log log T).  The oracle route is
 Euler-Maclaurin evaluation of zeta itself plus Cauchy-circle
 differentiation (trapezoid on a circle around s0, exponentially accurate
 for analytic integrands, with a mandatory two-grid agreement check).
+One cached ring serves every order l <= 8 at a height.  Its head sum
+forms n^(-s0) once per n, with the phase t log n reduced in long double,
+and takes the factors n^(-d) of all 128 nodes from a quarter of the
+circle; against 30-digit mpmath it is within about 1e-10 relative up to
+t = 2e5.
 :func:`approx_error_probe` measures the gap between the two on seeded
 pseudo-random heights and reports its ratio to the predicted size.
 
@@ -29,7 +34,7 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, count_text
 from .gridsum import exp_sum_at
 
 MAX_DERIVATIVE_ORDER = 8
@@ -45,6 +50,11 @@ RING_NODES = 64
 # Refusal before allocating: the most terms a Dirichlet polynomial or an
 # Euler-Maclaurin head sum may have (8 bytes or more each).
 MAX_SUM_TERMS = 10_000_000
+
+# The ring head's block of n (under 2 kB of temporaries per n at 128 nodes)
+# and 2 pi to long-double precision, as a double plus its rounding error.
+_HEAD_BLOCK = 2048
+_TWO_PI = np.longdouble(2 * math.pi) + np.longdouble(2.4492935982947064e-16)
 
 
 class RangeAdvisory(UserWarning):
@@ -98,8 +108,8 @@ def dirichlet_coefficients(cutoff: float, ell: int):
     terms = math.floor(cutoff)
     if terms > MAX_SUM_TERMS:
         raise ValueError(
-            f"Dirichlet polynomial of {terms:.3g} terms exceeds the limit of "
-            f"{MAX_SUM_TERMS}"
+            f"Dirichlet polynomial of {count_text(terms)} terms exceeds the "
+            f"limit of {MAX_SUM_TERMS}"
         )
     n = np.arange(1, terms + 1, dtype=np.float64)
     logn = np.log(n)
@@ -126,6 +136,18 @@ def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:
 
 def _em_cut_for(im_s: float) -> int:
     return max(64, int(math.ceil(0.35 * abs(im_s))) + 32)
+
+
+def _em_cut(height: float, em_order: int) -> int:
+    """The head length for heights up to ``height``; every Euler-Maclaurin
+    head, general or ring, is refused past MAX_SUM_TERMS here."""
+    cut = _em_cut_for(height) + 2 * em_order
+    if cut > MAX_SUM_TERMS:
+        raise ValueError(
+            f"height t = {height:.6g} needs an Euler-Maclaurin head sum "
+            f"of {count_text(cut)} terms, over the limit of {MAX_SUM_TERMS}"
+        )
+    return cut
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,13 +197,7 @@ def zeta_em_array(
     if em_order < 1:
         raise ValueError(f"em_order must be >= 1, got {em_order}")
     if cut is None:
-        height = float(np.max(np.abs(s.imag)))
-        cut = _em_cut_for(height) + 2 * em_order
-        if cut > MAX_SUM_TERMS:
-            raise ValueError(
-                f"height t = {height:.6g} needs an Euler-Maclaurin head sum "
-                f"of {cut:.3g} terms, over the limit of {MAX_SUM_TERMS}"
-            )
+        cut = _em_cut(float(np.max(np.abs(s.imag))), em_order)
     if not 2 <= cut <= MAX_SUM_TERMS:
         raise ValueError(f"cut must lie in [2, {MAX_SUM_TERMS}], got {cut}")
 
@@ -239,18 +255,59 @@ def cauchy_derivative(
     return _weighted_fsum(f(s0 + offsets), weights)
 
 
+def _ring_head(s0: complex, offsets: np.ndarray, cut: int) -> np.ndarray:
+    """sum_{n < cut} n^(-s0-d) at every offset d of a :func:`cauchy_ring`
+    whose node count is a multiple of 4.
+
+    n^(-s0) is formed once per n, with t log n reduced mod 2 pi in long
+    double, so no phase carries the rounding of a sum s0 + d.  The factors
+    n^(-d) come from the first quarter of the circle: d_(N-k) = conj(d_k)
+    and d_(k+N/2) = -d_k make the rest conjugates and reciprocals.  n runs
+    in blocks, so the working memory does not grow with the cut.
+    """
+    q = offsets.size // 4
+    quarter = offsets[: q + 1]
+    t = np.longdouble(s0.imag)
+    # sums of [a_n, conj(a_n)] times n^(-d) and times n^(d), d in quarter
+    at_d = np.zeros((q + 1, 2), dtype=np.complex128)
+    at_minus_d = np.zeros((q + 1, 2), dtype=np.complex128)
+    for start in range(1, cut, _HEAD_BLOCK):
+        stop = min(start + _HEAD_BLOCK, cut)
+        logn_ld = np.log(np.arange(start, stop, dtype=np.longdouble))
+        phase = t * logn_ld
+        phase -= np.rint(phase / _TWO_PI) * _TWO_PI
+        logn = logn_ld.astype(np.float64)
+        a = np.exp(-s0.real * logn - 1j * phase.astype(np.float64))
+        pair = np.stack([a, a.conj()], axis=1)
+        factors = np.exp(-np.multiply.outer(quarter, logn))
+        at_d += factors @ pair
+        at_minus_d += (1.0 / factors) @ pair
+    (p, pc), (r, rc) = at_d.T, at_minus_d.T
+    # node k in [0, q) is d_k, in [q, 2q) -conj(d_(2q-k)), in [2q, 3q)
+    # -d_(k-2q), and in [3q, 4q) conj(d_(4q-k))
+    return np.concatenate(
+        [p[:q], rc[q:0:-1].conj(), r[:q], pc[q:0:-1].conj()]
+    )
+
+
 @functools.lru_cache(maxsize=2048)
 def _zeta_ring_values(
     s0r: float, s0i: float, radius: float, nodes: int
 ) -> tuple:
-    """Cached zeta values on the circle; shared across derivative orders."""
+    """Cached zeta values on the circle; shared across derivative orders.
+    The head is :func:`_ring_head`, the tail that of :func:`zeta_em_array`."""
+    s0 = complex(s0r, s0i)
     offsets, _ = cauchy_ring(0, radius, nodes)
-    return tuple(zeta_em_array(complex(s0r, s0i) + offsets))
+    s = s0 + offsets
+    cut = _em_cut(float(np.max(np.abs(s.imag))), EM_ORDER)
+    head = _ring_head(s0, offsets, cut)
+    return tuple(head + _em_tail_terms(s, cut, EM_ORDER))
 
 
 def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     """zeta^(ell)(s0) on the RING_RADIUS circle with a mandatory
-    RING_NODES vs 2*RING_NODES agreement check.
+    RING_NODES vs 2*RING_NODES agreement check, to 1e-8 relative to the
+    value (absolute below 1).
 
     One 2*RING_NODES ring is evaluated; the coarse rule is its even nodes
     at twice the weight.
@@ -267,10 +324,11 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     _, weights = cauchy_ring(ell, radius, nodes)
     fine = _weighted_fsum(vals, weights)
     coarse = 2.0 * _weighted_fsum(vals[::2], weights[::2])
-    if abs(fine - coarse) > 1e-8:
+    gap = abs(fine - coarse)
+    if gap > 1e-8 * max(1.0, abs(fine)):
         raise AccuracyError(
-            f"Cauchy two-grid disagreement {abs(fine - coarse):.3e} > 1e-8 "
-            f"at s0={s0}, ell={ell}"
+            f"Cauchy two-grid disagreement {gap:.3e} > 1e-8 * max(1, "
+            f"{abs(fine):.3e}) at s0={s0}, ell={ell}"
         )
     return fine
 

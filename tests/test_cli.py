@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import rzeta
+import rzeta.zeta
 from rzeta.cli import comparison_rows, run
 from rzeta.resonator import yang_factor
 
@@ -635,8 +636,11 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("1e+303 grid points", "5000000")),
         (("ssum", "--x", "1e300", "--b", "3", "--ell", "1"),
          ("sieve limit", "got 1e+300", "100000000")),
+        (("sieve", "--limit", "100000001"),
+         ("got 100000001", "100000000")),
     ],
-    ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x"],
+    ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x",
+         "sieve-limit"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept
@@ -659,3 +663,75 @@ def test_bad_precision_env_names_the_variable(capsys, monkeypatch, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error: RZ_PRECISION") and repr(value) in err
+
+
+# mpmath.zeta(mpc(1, t), derivative=ell) at 30 digits, rounded to 20;
+# recorded because ell >= 5 at t = 1.5e5 takes mpmath over 2 s a value
+_ORACLE_REFERENCE = [
+    (1234.5, 0, "1.1568157567200118006", "-0.50291005783922823281"),
+    (1234.5, 1, "0.020224797665159101034", "-0.0029487120576156976727"),
+    (1234.5, 2, "0.15979912006226791823", "2.4672472989804504745"),
+    (1234.5, 3, "-3.7200172685795142115", "-14.581937657623700766"),
+    (1234.5, 4, "29.837095842963276907", "72.633615774828016644"),
+    (1234.5, 5, "-189.75618527273699568", "-349.77947779035705673"),
+    (1234.5, 6, "1102.3744353994900879", "1683.0563714064571658"),
+    (1234.5, 7, "-6135.458599388072907", "-8168.9905106861849995"),
+    (1234.5, 8, "33388.206784505241547", "40077.306998691628247"),
+    (20345.6, 0, "0.40893391148247610903", "-0.10215281904469634511"),
+    (20345.6, 1, "0.40264925049929060513", "0.14652394722681463855"),
+    (20345.6, 2, "-0.33635202985223456003", "-0.55628862771560416905"),
+    (20345.6, 3, "1.4290359889145636088", "2.5678038837356547587"),
+    (20345.6, 4, "-15.229765692742536975", "-11.644800167658735055"),
+    (20345.6, 5, "159.45512014222887253", "52.94932172970384489"),
+    (20345.6, 6, "-1572.9347515650880049", "-243.95606784263760675"),
+    (20345.6, 7, "14882.919387502031429", "1091.9374047721057171"),
+    (20345.6, 8, "-136695.27597809699586", "-4041.615090806531708"),
+    (150123.4, 0, "1.1879987788269116305", "-0.77853672051557439225"),
+    (150123.4, 1, "-0.6602738027683529725", "0.99994751836232033519"),
+    (150123.4, 2, "3.427718513238873898", "-2.0356117377566075876"),
+    (150123.4, 3, "-22.661935077375382763", "6.6399445598116336531"),
+    (150123.4, 4, "171.05641747231821308", "-34.887873437283581002"),
+    (150123.4, 5, "-1398.386020758449283", "274.73000231413835636"),
+    (150123.4, 6, "12023.411473393774907", "-2693.9391105077969374"),
+    (150123.4, 7, "-106870.18850932436209", "28572.058462877121853"),
+    (150123.4, 8, "972017.47765350386475", "-308576.75840301355345"),
+    (172151.591775, 2, "-0.025983382048670910472", "-0.0070798360335530771999"),
+]
+
+
+def test_oracle_reference_is_mpmath():
+    # the cheap row, t = 1234.5, recomputed
+    with mpmath.workdps(30):
+        for t, ell, re, im in _ORACLE_REFERENCE[:9]:
+            got = mpmath.zeta(mpmath.mpc(1, t), derivative=ell)
+            ref = mpmath.mpc(re, im)
+            assert abs(got - ref) <= 1e-19 * abs(ref)
+
+
+@pytest.fixture(scope="module")
+def shared_rings():
+    # the orders at one height share a cached ring; the cache is emptied
+    # after them, so counts of ring evaluations elsewhere start clean
+    yield
+    rzeta.zeta._zeta_ring_values.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "t, ell, re, im", _ORACLE_REFERENCE,
+    ids=[f"t{row[0]}-ell{row[1]}" for row in _ORACLE_REFERENCE],
+)
+def test_oracle_within_1e_9_of_mpmath(capsys, shared_rings, t, ell, re, im):
+    # every order EvalPoint accepts, at heights from 1e3 to 1.5e5; at
+    # t = 172151.591775, |zeta''| = 0.027, where the ring's relative
+    # error is largest
+    T = 10.0 ** math.floor(math.log10(t))
+    with warnings.catch_warnings(record=True):  # RangeAdvisory for ell
+        code, out, err = invoke(
+            capsys, "zeta", "--T", repr(T), "--t", repr(t), "--ell",
+            str(ell), "--oracle", "--no-timestamp",
+        )
+    assert code == 0, err
+    doc = json.loads(out)
+    got = (-1) ** ell * complex(doc["oracle_re"], doc["oracle_im"])
+    ref = complex(float(re), float(im))
+    assert abs(got - ref) <= 1e-9 * abs(ref)

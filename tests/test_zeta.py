@@ -1,6 +1,7 @@
 """Dirichlet polynomial, Euler-Maclaurin zeta, Cauchy-circle derivatives."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import rzeta.zeta
 from rzeta.errors import AccuracyError
 from rzeta.zeta import (
     EvalPoint,
@@ -176,19 +178,34 @@ def test_zeta_deriv_cauchy_refuses_two_grid_gap_near_pole():
         zeta_deriv_cauchy(s0, 0)
 
 
-def test_coarse_check_is_the_even_nodes_of_the_fine_ring():
+def test_coarse_check_is_the_even_nodes_of_the_fine_ring(monkeypatch):
     s0, ell, n = 1 + 700j, 2, 64
     fine_offsets, fine_weights = cauchy_ring(ell, 0.25, 2 * n)
     offsets, weights = cauchy_ring(ell, 0.25, n)
     assert np.array_equal(fine_offsets[::2], offsets)
     assert np.array_equal(2 * fine_weights[::2], weights)
+    # the two rules zeta_deriv_cauchy compares, as it sums them
+    rules, fsum = [], rzeta.zeta._weighted_fsum
+
+    def recording(vals, weights):
+        rules.append(fsum(vals, weights))
+        return rules[-1]
+
+    monkeypatch.setattr(rzeta.zeta, "_weighted_fsum", recording)
     value = zeta_deriv_cauchy(s0, ell)
-    fine = cauchy_derivative(zeta_em_array, s0, ell, nodes=2 * n)
-    assert abs(value - fine) <= 1e-13
+    monkeypatch.undo()
     ring = np.array(_zeta_ring_values(s0.real, s0.imag, 0.25, 2 * n))
+    fine = cauchy_derivative(lambda z: ring, s0, ell, nodes=2 * n)
     from_even = cauchy_derivative(lambda z: ring[::2], s0, ell, nodes=n)
-    direct = cauchy_derivative(zeta_em_array, s0, ell, nodes=n)
-    assert abs(from_even - direct) <= 1e-13
+    assert value == fine == rules[0]
+    assert from_even == 2 * rules[1]
+    # zeta_em_array rounds each phase Im(s) log n, about 700 * 6 * 2^-53
+    # = 5e-13 rad, and its terms n^(-0.75) over n < 300 sum to below 20
+    em = zeta_em_array(s0 + fine_offsets)
+    assert np.max(np.abs(ring - em)) <= 1e-11
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(s0, derivative=ell))
+    assert abs(value - ref) <= 1e-11 * abs(ref)
 
 
 def test_one_ring_evaluation_per_height():
@@ -248,3 +265,25 @@ def test_dirichlet_coefficients_refuse_the_double_range():
             dirichlet_coefficients(2e4, 400)
         logn, coeffs = dirichlet_coefficients(2e4, 170)
     assert np.all(np.isfinite(coeffs))
+
+
+def test_ring_memory_is_bounded_by_its_block():
+    # the head runs over n in blocks: one ring at t = 1.5e5 (52k terms
+    # at 128 nodes) peaked at 129 MB when it was formed at full length
+    _zeta_ring_values.cache_clear()
+    tracemalloc.start()
+    try:
+        zeta_deriv_cauchy(1 + 150123.4j, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_long_double_carries_the_oracle_phase():
+    # the ring head reduces t log n mod 2 pi in long double; where long
+    # double is the 53-bit double the oracle falls back to about 1e-10
+    assert np.finfo(np.longdouble).nmant >= 63, (
+        "the oracle's phase accuracy needs a long double with a 64-bit "
+        f"significand or wider; this platform has {np.finfo(np.longdouble)}"
+    )
