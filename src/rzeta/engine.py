@@ -25,26 +25,29 @@ M1 = T sum_{m, m'} phihat(T log(m'/m)) and M2 = T sum_{m, m'} sum_n c_n
 phihat(T log(n m'/m)) for P(t) = sum c_n n^(-it).  Only the window
 |xi| < PHI_BAND = 2000 counts (beyond it |phihat| < 1e-15), so each
 moment is a sum over the few (n, m, m') in it, at a cost that does not
-grow with T.  This is the one route for each moment; integrating over
-[T, 2T] by quadrature, with P or with Euler-Maclaurin zeta, is kept as
-the tests' independent reference (``tests/quadrature_reference.py``).
+grow with T.  One phihat call serves all of a moment's fractions: a
+trapezoid rule on one cached grid (2048 intervals for every in-window
+xi), exact up to phihat's aliases (Trefethen & Weideman, SIAM Review
+2014) and checked against its own even-node half.  This is the one
+route for each moment; integrating over [T, 2T] by quadrature, with P
+or with Euler-Maclaurin zeta, is kept as the tests' independent
+reference (``tests/quadrature_reference.py``).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import count_text
-from .gridsum import exp_sum_at, exp_sum_on_grid
+from .errors import AccuracyError, count_text
+from .gridsum import exp_sum_on_grid
 from .primes import iterated_log
-from .quadrature import integrate_refine
 from .resonator import (
-    FactoredElement,
     ResonatorSpec,
     bound_constants,
     enumerate_M,
@@ -52,7 +55,9 @@ from .resonator import (
     s_over_cardinality_jet,
 )
 from .zeta import dirichlet_coefficients
-# unused here; perfbench's tracer patches engine._em_tail_terms (drop both)
+# unused here; perfbench's tracer patches engine._em_tail_terms and
+# engine.integrate_refine (drop both with the tracer's patches)
+from .quadrature import integrate_refine  # noqa: F401
 from .zeta import _em_tail_terms  # noqa: F401
 
 ENGINE_ELEMENT_CAP = 4096
@@ -85,26 +90,88 @@ def bump_phi(t):
     return out
 
 
-# Effective band of phi: |phihat(xi)| < 1e-15 for |xi| >= PHI_BAND (sampled
-# every 50 up to 6000 by a 2M-node trapezoid), so phi(t/T) counts as
-# band-limited to PHI_BAND / T in the moment integrands.
+# Effective band of phi: |phihat(xi)| < 1e-15 for |xi| >= PHI_BAND (the
+# tests pin it every 50 up to 6000), so phi(t/T) counts as band-limited
+# to PHI_BAND / T in the moment integrands.
 PHI_BAND = 2000.0
+# phihat's trapezoid rule on [1, 2] has N intervals, the least power of
+# two with 2 pi N >= PHI_GRID_RATE * (max |xi| + PHI_BAND), max |xi| taken
+# at least PHI_BAND so that every in-window xi sees the same 2048
+# intervals.  By Poisson summation the rule's error is the aliases
+# phihat(xi + 2 pi j N), j != 0 (Trefethen & Weideman, SIAM Review 2014);
+# its even-node half aliases at pi N >= 1.2 (|xi| + PHI_BAND), still
+# outside the band.
+PHI_GRID_RATE = 2.4
+# The N-node and even-node sums must agree to this times phihat(0).
+PHI_CHECK_TOL = 1e-10
+# Refusal above this many intervals (|xi| beyond about 1e7): the cached
+# grids, powers of two from 2048 up, hold at most 64 MB together.
+MAX_PHI_NODES = 1 << 22
+_PHI_BLOCK = 1 << 18  # cosines per block (2 MB), or one row of them
 
 
-def bump_phi_hat(xi: float) -> complex:
-    """phihat(xi) = integral phi(u) exp(-i xi u) du by the trapezoid rule.
+def _phi_nodes(reach: float) -> int:
+    """The intervals N of phihat's grid for |xi| <= ``reach``."""
+    need = PHI_GRID_RATE * (max(reach, PHI_BAND) + PHI_BAND) / (2 * math.pi)
+    if need > MAX_PHI_NODES:
+        raise AccuracyError(
+            f"phihat at |xi| = {reach:.6g} needs more than the "
+            f"{MAX_PHI_NODES}-node budget"
+        )
+    return 1 << (math.ceil(need) - 1).bit_length()
+
+
+@functools.cache
+def _phi_grid(nodes: int):
+    """(k/N, phi(3/2 + k/N)/N, phihat(0) by the rule) for k = 1..N/2: the
+    offsets from 3/2 of the nodes right of it and their weights,
+    read-only."""
+    offsets = np.arange(1, nodes // 2 + 1) / nodes
+    weights = bump_phi(1.5 + offsets) / nodes
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights, 1.0 / nodes + 2.0 * math.fsum(weights)
+
+
+def bump_phi_hat(xi):
+    """phihat(xi) = integral phi(u) exp(-i xi u) du, for a scalar or an
+    array of xi, by one trapezoid rule sized from the largest |xi|.
 
     Convention: with this sign, integral (m/n)^(it) phi(t/T) dt equals
-    T * phihat(T log(n/m)).
+    T * phihat(T log(n/m)).  phi is symmetric about 3/2, so the N-node
+    sum is exp(-3i xi/2) (1/N + 2 sum_k w_k cos(xi k/N)) with w_k =
+    phi(3/2 + k/N)/N, k = 1..N/2.  It must agree with the sum over the
+    even nodes alone to PHI_CHECK_TOL * phihat(0), or AccuracyError.
     """
-
-    def integrand(t0, dt, count):
-        u = t0 + dt * np.arange(count)
-        return bump_phi(u) * np.exp(-1j * xi * u)
-
-    return integrate_refine(
-        integrand, 1.0, 2.0, abs(xi) + PHI_BAND, rel_tol=1e-10
-    )
+    xi_arr = np.asarray(xi, dtype=np.float64)
+    flat = xi_arr.reshape(-1)
+    reach = float(np.max(np.abs(flat))) if flat.size else 0.0
+    if not math.isfinite(reach):  # a nan or an inf anywhere
+        raise ValueError("phihat needs finite xi")
+    nodes = _phi_nodes(reach)
+    offsets, weights, hat0 = _phi_grid(nodes)
+    h = 1.0 / nodes
+    rule = np.empty(flat.size)
+    rows = max(1, _PHI_BLOCK // offsets.size)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows]
+        # row sums, not a matrix product, so a value is the same whatever
+        # else is in the call
+        terms = np.cos(np.outer(block, offsets)) * weights
+        even = terms[:, 1::2].sum(axis=1)  # k = 2, 4, ..
+        full = h + 2.0 * (terms[:, 0::2].sum(axis=1) + even)
+        gap = float(np.max(np.abs(full - (2.0 * h + 4.0 * even))))
+        if gap > PHI_CHECK_TOL * hat0:
+            raise AccuracyError(
+                f"phihat two-grid disagreement {gap:.3e} > "
+                f"{PHI_CHECK_TOL * hat0:.3e} ({nodes} intervals, |xi| up "
+                f"to {reach:.6g})"
+            )
+        rule[start : start + rows] = full
+    out = np.exp(-1.5j * flat) * rule
+    if xi_arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(xi_arr.shape)
 
 
 def bump_decay_constant(
@@ -115,7 +182,7 @@ def bump_decay_constant(
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     xs = np.exp(np.linspace(math.log(xi_min), math.log(xi_max), samples))
-    return max(abs(bump_phi_hat(float(x))) * float(x) ** alpha for x in xs)
+    return float(np.max(np.abs(bump_phi_hat(xs)) * xs**alpha))
 
 
 # --------------------------------------------------- theorem parameters --
@@ -157,14 +224,6 @@ def theorem_parameters(T: float) -> TheoremParameters:
 
 
 # ------------------------------------------------------------- resonator --
-
-def resonator_eval(elements: list[FactoredElement], t: float) -> complex:
-    """R(t) = sum over elements of exp(i t log m)."""
-    if not elements:
-        raise ValueError("resonator needs at least one element")
-    logs = np.array([e.log_value() for e in elements])
-    return exp_sum_at(logs, np.ones_like(logs), -t)
-
 
 def _peak_exceeds_sqrt(spec: ResonatorSpec, T: float) -> bool:
     """(max M)^2 > T, decided exactly.
@@ -216,7 +275,8 @@ def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
 
     since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).  xi comes
     from the reduced fraction n m'/m = p/q as T log1p((p - q)/q) in exact
-    integers, and phihat is evaluated once per fraction.
+    integers.  The distinct in-window fractions are collected first, and
+    one phihat call evaluates them all.
     """
     elements = _resonator(spec, T)
     logs = [log_m for log_m, _ in elements]
@@ -225,8 +285,8 @@ def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
         return 0j
     reach = PHI_BAND / T  # |log(n m'/m)| < reach inside the window
     span = math.log(terms)
-    phihat = {}
-    re, im = [], []
+    slot = {}  # reduced fraction -> index into xis, or None outside
+    xis, ns, slots = [], [], []
     for log_m, m in elements:
         # 1 <= n <= terms confines log m' to [log m - span, log m] +- reach
         first = bisect.bisect_left(logs, log_m - span - reach - _LOG_SLACK)
@@ -239,17 +299,22 @@ def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
             for n in range(lo, hi + 1):
                 g = math.gcd(n * m2, m)
                 key = (n * m2 // g, m // g)
-                if key not in phihat:
+                if key not in slot:
                     p, q = key
                     xi = T * math.log1p((p - q) / q)
-                    inside = abs(xi) < PHI_BAND
-                    phihat[key] = bump_phi_hat(xi) if inside else None
-                value = phihat[key]
-                if value is not None:
-                    term = coeffs[n - 1] * value
-                    re.append(term.real)
-                    im.append(term.imag)
-    return T * complex(math.fsum(re), math.fsum(im))
+                    slot[key] = None
+                    if abs(xi) < PHI_BAND:
+                        slot[key] = len(xis)
+                        xis.append(xi)
+                index = slot[key]
+                if index is not None:
+                    ns.append(n)
+                    slots.append(index)
+    if not ns:
+        return 0j
+    values = bump_phi_hat(np.array(xis))[slots]
+    products = coeffs[np.array(ns) - 1] * values
+    return T * complex(math.fsum(products.real), math.fsum(products.imag))
 
 
 def moment_M1(spec: ResonatorSpec, T: float) -> float:
@@ -285,8 +350,8 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
 
     Both moments are window sums T * sum c_n phihat(T log(n m'/m)) over
-    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2`); no quadrature
-    runs outside phihat itself.
+    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2`), each with one
+    phihat call; no quadrature runs.
     """
     if _peak_exceeds_sqrt(spec, T):
         raise ValueError(

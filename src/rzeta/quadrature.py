@@ -7,10 +7,13 @@ grid is sized from the caller's ``max_frequency`` (Trefethen & Weideman,
 SIAM Review 2014).  Each refinement halves the step and evaluates only
 the new midpoints; Romberg extrapolation handles integrands whose ends do
 not vanish.  Integrands receive (t0, dt, count) describing a whole
-uniform grid.  In the package the rule computes phihat
-(:func:`rzeta.engine.bump_phi_hat`); the tests' quadrature references
-of the moments evaluate a Dirichlet polynomial or Euler-Maclaurin zeta
-on each level with one FFT-gridded transform.
+uniform grid.  The package itself does not call the rule (phihat,
+:func:`rzeta.engine.bump_phi_hat`, is one fixed trapezoid grid); it stays
+here while perfbench's tracer patches ``engine.integrate_refine`` and
+``_level_value``.  The tests' quadrature references of the moments
+evaluate a Dirichlet polynomial or Euler-Maclaurin zeta on each level
+with one FFT-gridded transform, and the tests check phihat against the
+rule.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from .errors import AccuracyError
 OVERSAMPLING = 1.2  # start-grid 2*pi/h over max_frequency
 MAX_LEVEL = 10  # refinements before the integral is refused
 # Refusal before any level above this many integrand evaluations: the
-# guard against out-of-memory runs.  phihat's levels stay below 800
-# nodes; the tests' quadrature moments cost about 180 bytes per node
-# (M2 at T = 1e6: 3.0M nodes, 600 MB peak), so this keeps them under a
-# gigabyte.
+# guard against out-of-memory runs.  The tests' quadrature moments cost
+# about 180 bytes per node (M2 at T = 1e6: 3.0M nodes, 600 MB peak), so
+# this keeps them under a gigabyte.
 MAX_NODES_PER_LEVEL = 5_000_000
 
 GridIntegrand = Callable[[float, float, int], np.ndarray]

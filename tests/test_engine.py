@@ -4,12 +4,14 @@ import inspect
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import rzeta
 from quadrature_reference import oracle_M2, quadrature_M1, quadrature_M2
 from rzeta import quadrature
+from rzeta.cli import run
 from rzeta.engine import (
     PHI_BAND,
     Certificate,
@@ -20,18 +22,26 @@ from rzeta.engine import (
     certificate,
     moment_M1,
     moment_M2,
-    resonator_eval,
     scan_max,
     scan_samples,
     theorem_parameters,
 )
 from rzeta.errors import AccuracyError
+from rzeta.gridsum import exp_sum_at
 from rzeta.precision import EXP_GAMMA
 from rzeta.quadrature import integrate_refine
 from rzeta.resonator import ResonatorSpec, enumerate_M
 from rzeta.zeta import EvalPoint, dirichlet_poly
 
 PHI_HAT_ZERO = 0.75  # exact: plateau 1/2 plus two transitions of 1/8 each
+
+
+def resonator_eval(elements, t):
+    """R(t) = sum over elements of exp(i t log m)."""
+    if not elements:
+        raise ValueError("resonator needs at least one element")
+    logs = np.array([e.log_value() for e in elements])
+    return exp_sum_at(logs, np.ones_like(logs), -t)
 
 
 def test_bump_plateau_support_exact():
@@ -158,19 +168,99 @@ def test_quadrature_driver_on_tone():
     assert got == pytest.approx(complex(exact), abs=1e-10)
 
 
+def _certify_window_xi():
+    # every xi a certify job (x = 3, b = 3, T = 2e4) hands to phihat
+    calls = []
+    original = rzeta.engine.bump_phi_hat
+
+    def recording(xi):
+        calls.append(np.array(xi, dtype=float))
+        return original(xi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rzeta.engine, "bump_phi_hat", recording)
+        for ell in (0, 1, 2):
+            certificate(ResonatorSpec(3, 3), 2e4, ell)
+    return np.unique(np.concatenate([c.ravel() for c in calls]))
+
+
 def test_phi_hat_is_integrate_refine_at_absolute_tolerance():
-    # phihat is integrate_refine at rel_tol=1e-10, a plain argument;
-    # there is no settings object
+    # the fixed rule reproduces the Romberg quadrature at rel_tol=1e-10, a
+    # plain argument, on every xi of the certify window; there is no
+    # settings object
     assert not hasattr(rzeta, "QuadratureSettings")
     assert "QuadratureSettings" not in rzeta.__all__
-    xi = 7.3
+    window = _certify_window_xi()
+    assert window.size == 7 and np.all(np.abs(window) < PHI_BAND)
+    got = bump_phi_hat(window)
+    for xi, value in zip(window, got):
 
-    def integrand(t0, dt, count):
-        u = t0 + dt * np.arange(count)
-        return bump_phi(u) * np.exp(-1j * xi * u)
+        def integrand(t0, dt, count, xi=xi):
+            u = t0 + dt * np.arange(count)
+            return bump_phi(u) * np.exp(-1j * xi * u)
 
-    got = integrate_refine(integrand, 1.0, 2.0, xi + PHI_BAND, rel_tol=1e-10)
-    assert got == bump_phi_hat(xi)
+        want = integrate_refine(
+            integrand, 1.0, 2.0, abs(xi) + PHI_BAND, rel_tol=1e-10
+        )
+        assert abs(value - want) <= 1e-14, xi
+
+
+def test_phi_hat_matches_mpmath():
+    # phi is even about 3/2, so phihat(xi) = exp(-3i xi/2) (2 sin(xi/4)/xi
+    # + 2 integral over [1/4, 1/2] of psi(4(1/2 - v)) cos(xi v) dv), the
+    # transition integrated by mpmath at 30 digits
+    def psi(u):
+        g, h = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+        return g / (g + h)
+
+    xs = [7.3, 547.97948376, -1740.22753979, 1999.0]
+    got = bump_phi_hat(np.array(xs))
+    with mpmath.workdps(30):
+        for xi, value in zip(xs, got):
+            x = mpmath.mpf(xi)
+            cuts = mpmath.linspace(mpmath.mpf(1) / 4, mpmath.mpf(1) / 2, 9)
+            edge = mpmath.quad(
+                lambda v: psi(2 - 4 * v) * mpmath.cos(x * v), cuts
+            )
+            plateau = 2 * mpmath.sin(x / 4) / x
+            want = mpmath.exp(-1.5j * x) * (plateau + 2 * edge)
+            assert abs(value - complex(want)) <= 1e-15, xi
+
+
+def test_phi_hat_scalar_is_its_array_entry():
+    xs = np.array([[0.0, 7.3], [-1740.2, 1999.0]])
+    got = bump_phi_hat(xs)
+    assert got.shape == xs.shape and got.dtype == np.complex128
+    for xi, value in zip(xs.ravel(), got.ravel()):
+        assert isinstance(bump_phi_hat(float(xi)), complex)
+        # every in-window xi is summed on the same grid, whatever the batch
+        assert bump_phi_hat(float(xi)) == value
+    assert bump_phi_hat(np.array([])).shape == (0,)
+    with pytest.raises(ValueError, match="finite"):
+        bump_phi_hat(np.array([1.0, math.nan]))
+
+
+def test_phi_hat_vanishes_beyond_the_band():
+    # the window sums drop every |xi| >= PHI_BAND on this claim
+    xs = np.arange(PHI_BAND, 6000.0 + 1, 50.0)
+    assert xs[0] == 2000.0 and xs[-1] == 6000.0
+    assert np.max(np.abs(bump_phi_hat(xs))) < 1e-15
+
+
+def test_phi_hat_refuses_an_aliased_grid(monkeypatch, capsys):
+    # 64 intervals: the even-node half (step 1/32) aliases phihat at
+    # +-pi 64 ~ 201, inside the band, and the two sums disagree
+    monkeypatch.setattr(rzeta.engine, "_phi_nodes", lambda reach: 64)
+    with pytest.raises(AccuracyError, match="two-grid"):
+        bump_phi_hat(7.3)
+    argv = ["resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "1"]
+    assert run(argv) == 2
+    assert "accuracy failure" in capsys.readouterr().err
+
+
+def test_phi_hat_refuses_past_its_node_budget():
+    with pytest.raises(AccuracyError, match="budget"):
+        bump_phi_hat(1e12)
 
 
 def test_scalar_sums_equal_their_fsum_form():
@@ -364,8 +454,8 @@ def test_moments_match_40_digit_reference(ell):
 
 
 def test_certificate_moments_run_no_quadrature(monkeypatch):
-    # the moments of P are window sums: no grid transform of R or P, and
-    # integrate_refine only inside bump_phi_hat
+    # the moments of P are window sums: no grid transform of R or P, no
+    # integrate_refine, and one phihat call per moment over distinct xi
     def never(*args, **kwargs):
         raise AssertionError("moment integrand evaluated on a grid")
 
@@ -373,15 +463,20 @@ def test_certificate_moments_run_no_quadrature(monkeypatch):
     original = rzeta.engine.bump_phi_hat
 
     def counting(xi):
-        calls.append(xi)
+        calls.append(np.array(xi, dtype=float))
         return original(xi)
 
     monkeypatch.setattr(rzeta.engine, "exp_sum_on_grid", never)
+    monkeypatch.setattr(rzeta.engine, "integrate_refine", never)
+    monkeypatch.setattr(quadrature, "integrate_refine", never)
     monkeypatch.setattr(rzeta.engine, "bump_phi_hat", counting)
     moment_M2(ResonatorSpec(3, 3), 2e4, 1)
-    # one phihat per distinct reduced fraction n m'/m in the window
-    assert len(calls) == len(set(calls)) > 1
+    # one xi per distinct reduced fraction n m'/m in the window
+    assert len(calls) == 1 and calls[0].size > 1
     cert = certificate(ResonatorSpec(3, 3), 2e4, 1)
+    assert len(calls) == 3  # M1 and M2 of the certificate
+    for xi in calls:
+        assert np.unique(xi).size == xi.size
     assert cert.ratio == pytest.approx(cert.rhs_prediction, rel=1e-6)
 
 
