@@ -25,13 +25,15 @@ M1 = T sum_{m, m'} phihat(T log(m'/m)) and M2 = T sum_{m, m'} sum_n c_n
 phihat(T log(n m'/m)) for P(t) = sum c_n n^(-it).  Only the window
 |xi| < PHI_BAND = 2000 counts (beyond it |phihat| < 1e-15), so each
 moment is a sum over the few (n, m, m') in it, at a cost that does not
-grow with T.  One phihat call serves all of a moment's fractions: a
-trapezoid rule on one cached grid (2048 intervals for every in-window
-xi), exact up to phihat's aliases (Trefethen & Weideman, SIAM Review
-2014) and checked against its own even-node half.  This is the one
-route for each moment; integrating over [T, 2T] by quadrature, with P
-or with Euler-Maclaurin zeta, is kept as the tests' independent
-reference (``tests/quadrature_reference.py``).
+grow with T: c_n is formed only at the n inside the window, and M1 is
+the n = 1 slice of M2's terms, so a certificate enumerates the window
+once.  One phihat call serves all of its fractions: a trapezoid rule on
+one cached grid (2048 intervals for every in-window xi), exact up to
+phihat's aliases (Trefethen & Weideman, SIAM Review 2014) and checked
+against its own even-node half.  This is the one route for each moment;
+integrating over [T, 2T] by quadrature, with P or with Euler-Maclaurin
+zeta, is kept as the tests' independent reference
+(``tests/quadrature_reference.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .resonator import (
     max_element,
     s_over_cardinality_jet,
 )
-from .zeta import dirichlet_coefficients
+from .zeta import dirichlet_coefficients, dirichlet_terms
 # unused here; perfbench's tracer patches engine._em_tail_terms and
 # engine.integrate_refine (drop both with the tracer's patches)
 from .quadrature import integrate_refine  # noqa: F401
@@ -266,23 +268,20 @@ def _resonator(spec: ResonatorSpec, T: float):
 _LOG_SLACK = 1e-9
 
 
-def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
-    """integral of P(t) |R(t)|^2 phi(t/T) dt for P(t) = sum c_n n^(-it),
-    n <= len(coeffs), as the finite sum
-
-        T * sum_{m, m' in M} sum_{n, |xi| < PHI_BAND} c_n phihat(xi),
-        xi = T log(n m'/m),
-
-    since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).  xi comes
-    from the reduced fraction n m'/m = p/q as T log1p((p - q)/q) in exact
-    integers.  The distinct in-window fractions are collected first, and
-    one phihat call evaluates them all.
+def _window(spec: ResonatorSpec, T: float, terms: int):
+    """(n, phihat(xi)) for the (n, m, m') with m, m' in M, n <= terms and
+    |xi| < PHI_BAND, xi = T log(n m'/m): integral P(t) |R(t)|^2 phi(t/T)
+    dt for P(t) = sum c_n n^(-it) is T times the sum of c_n phihat(xi)
+    over them, since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).
+    xi comes from the reduced fraction n m'/m = p/q as T log1p((p - q)/q)
+    in exact integers.  The distinct in-window fractions are collected
+    first, and one phihat call evaluates them all.  Every in-window
+    n = 1 term is found for any ``terms`` >= 1: M1 is their slice.
     """
     elements = _resonator(spec, T)
     logs = [log_m for log_m, _ in elements]
-    terms = len(coeffs)
     if terms == 0:
-        return 0j
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
     reach = PHI_BAND / T  # |log(n m'/m)| < reach inside the window
     span = math.log(terms)
     slot = {}  # reduced fraction -> index into xis, or None outside
@@ -310,29 +309,39 @@ def _window_sum(spec: ResonatorSpec, T: float, coeffs) -> complex:
                 if index is not None:
                     ns.append(n)
                     slots.append(index)
-    if not ns:
-        return 0j
-    values = bump_phi_hat(np.array(xis))[slots]
-    products = coeffs[np.array(ns) - 1] * values
+    # the diagonal n = 1, m = m' has xi = 0: ns is never empty here
+    return np.array(ns), bump_phi_hat(np.array(xis))[slots]
+
+
+def _sum_M1(T: float, ns, values) -> float:
+    """M1 from a window's terms: P = 1 keeps the n = 1 slice."""
+    return T * math.fsum(values[ns == 1].real)
+
+
+def _sum_M2(T: float, ns, values, ell: int) -> complex:
+    """M2 from a window's terms, c_n = (log n)^l/n formed elementwise as
+    :func:`dirichlet_coefficients` forms it, only at the n in the window."""
+    n = ns.astype(np.float64)
+    products = np.log(n) ** ell / n * values
     return T * complex(math.fsum(products.real), math.fsum(products.imag))
 
 
 def moment_M1(spec: ResonatorSpec, T: float) -> float:
     """integral |R(t)|^2 phi(t/T) dt = T * sum phihat(T log(m'/m)) over the
     pairs m, m' in M with |T log(m'/m)| < PHI_BAND (the window sum with
-    P = 1)."""
-    return _window_sum(spec, T, np.ones(1)).real
+    P = 1, its n = 1 slice)."""
+    return _sum_M1(T, *_window(spec, T, 1))
 
 
 def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
     """integral P(t) |R(t)|^2 phi(t/T) dt for the truncated polynomial P
     standing in for (-1)^l zeta^(l)(1+it): its finite spectrum makes the
     moment the window sum T * sum c_n phihat(T log(n m'/m)) over
-    |xi| < PHI_BAND."""
+    |xi| < PHI_BAND, with c_n read only at the n in the window.  0 for
+    T < 1, where P is empty."""
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    _, coeffs = dirichlet_coefficients(T, ell)
-    return _window_sum(spec, T, coeffs)
+    return _sum_M2(T, *_window(spec, T, dirichlet_terms(T, ell)), ell)
 
 
 # ------------------------------------------------------------ certificate --
@@ -349,9 +358,9 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     """|M2|/M1 (a rigorous lower bound for the windowed sup of |P|) next
     to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
 
-    Both moments are window sums T * sum c_n phihat(T log(n m'/m)) over
-    |xi| < PHI_BAND (:func:`moment_M1`, :func:`moment_M2`), each with one
-    phihat call; no quadrature runs.
+    Both moments come from one window pass (:func:`moment_M2`'s terms,
+    M1 their n = 1 slice as in :func:`moment_M1`) with one phihat call;
+    no quadrature runs and P's coefficient array is never built.
     """
     if _peak_exceeds_sqrt(spec, T):
         raise ValueError(
@@ -360,8 +369,9 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
         )
     # the jets refuse an ell they cannot represent before the moments run
     rhs = float(s_over_cardinality_jet(spec, ell))
-    m1 = moment_M1(spec, T)
-    m2 = moment_M2(spec, T, ell)
+    ns, values = _window(spec, T, dirichlet_terms(T, ell))
+    m1 = _sum_M1(T, ns, values)
+    m2 = _sum_M2(T, ns, values, ell)
     return Certificate(
         ratio=abs(m2) / m1, rhs_prediction=rhs, M1=m1, M2_abs=abs(m2)
     )

@@ -50,6 +50,7 @@ RING_NODES = 64
 # Refusal before allocating: the most terms a Dirichlet polynomial or an
 # Euler-Maclaurin head sum may have (8 bytes or more each).
 MAX_SUM_TERMS = 10_000_000
+_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 # The ring head's block of n (under 2 kB of temporaries per n at 128 nodes)
 # and 2 pi to long-double precision, as a double plus its rounding error.
@@ -101,26 +102,51 @@ class EvalPoint:
             )
 
 
-def dirichlet_coefficients(cutoff: float, ell: int):
-    """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
-    frequencies and coefficients of the polynomial P.  Refuses an ell
-    whose coefficients, or their sum, leave the double range."""
+def _double_range_refusal(terms: int, ell: int) -> ValueError:
+    return ValueError(
+        f"Dirichlet coefficients (log n)^{ell}/n for n <= {terms} leave "
+        f"the double range at ell={ell}"
+    )
+
+
+def dirichlet_terms(cutoff: float, ell: int) -> int:
+    """floor(cutoff), the term count of P, after refusing more than
+    MAX_SUM_TERMS terms or an ell whose coefficients (log n)^l/n, or
+    their sum, leave the double range.  Decided in log space, without
+    the coefficients: (log n)^l is largest at n = N = floor(cutoff), and
+    the sum of the unimodal terms is at most (log N)^(l+1)/(l+1) plus
+    the largest term, at n = e^l or at N."""
     terms = math.floor(cutoff)
     if terms > MAX_SUM_TERMS:
         raise ValueError(
             f"Dirichlet polynomial of {count_text(terms)} terms exceeds the "
             f"limit of {MAX_SUM_TERMS}"
         )
+    if terms >= 2 and ell > 0:
+        log_n = math.log(terms)
+        loglog = math.log(log_n)
+        top = min(ell, log_n)  # log n at the largest term
+        total = np.logaddexp(
+            (ell + 1) * loglog - math.log(ell + 1), ell * math.log(top) - top
+        )
+        if max(ell * loglog, total) > _LOG_DBL_MAX:
+            raise _double_range_refusal(terms, ell)
+    return terms
+
+
+def dirichlet_coefficients(cutoff: float, ell: int):
+    """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
+    frequencies and coefficients of the polynomial P.  Refuses, with
+    :func:`dirichlet_terms`, before allocating, and again if the sum is
+    not finite."""
+    terms = dirichlet_terms(cutoff, ell)
     n = np.arange(1, terms + 1, dtype=np.float64)
     logn = np.log(n)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = logn**ell / n
         total = np.sum(coeffs)
     if not np.isfinite(total):
-        raise ValueError(
-            f"Dirichlet coefficients (log n)^{ell}/n for n <= {terms} leave "
-            f"the double range at ell={ell}"
-        )
+        raise _double_range_refusal(terms, ell)
     return logn, coeffs
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import rzeta
+import rzeta.zeta
 from quadrature_reference import oracle_M2, quadrature_M1, quadrature_M2
 from rzeta import quadrature
 from rzeta.cli import run
@@ -474,9 +476,85 @@ def test_certificate_moments_run_no_quadrature(monkeypatch):
     # one xi per distinct reduced fraction n m'/m in the window
     assert len(calls) == 1 and calls[0].size > 1
     cert = certificate(ResonatorSpec(3, 3), 2e4, 1)
-    assert len(calls) == 3  # M1 and M2 of the certificate
+    assert len(calls) == 2  # one window pass serves M1 and M2
     for xi in calls:
         assert np.unique(xi).size == xi.size
+    assert cert.ratio == pytest.approx(cert.rhs_prediction, rel=1e-6)
+
+
+# float.hex of M1, Re M2, Im M2, and the certificate's ratio, M1 and |M2|,
+# recorded when each moment had its own window pass over P's full
+# coefficient array
+_MOMENT_BITS = [
+    (3, 3, 2e4, 0, "0x1.07ac000000000p+17", "0x1.d660aaaa9e225p+17",
+     "0x1.926523ceeb2cep-20", "0x1.c8b0fcd6ddb56p+0",
+     "0x1.07ac000000000p+17", "0x1.d660aaaa9e225p+17"),
+    (3, 3, 2e4, 1, "0x1.07ac000000000p+17", "0x1.d95434ea4d96ep+16",
+     "0x1.6bb35d8957edep-18", "0x1.cb8e8b555ac29p-1",
+     "0x1.07ac000000000p+17", "0x1.d95434ea4d96ep+16"),
+    (3, 3, 2e4, 2, "0x1.07ac000000000p+17", "0x1.4cd1c7af2a1f8p+17",
+     "0x1.48b233181abd2p-16", "0x1.4322b949a902ep+0",
+     "0x1.07ac000000000p+17", "0x1.4cd1c7af2a1f8p+17"),
+    (3, 3, 1e5, 0, "0x1.4997000000000p+19", "0x1.25fc6aaaaaaaap+20",
+     "0x0.0p+0", "0x1.c8b0fcd6e9e05p+0",
+     "0x1.4997000000000p+19", "0x1.25fc6aaaaaaaap+20"),
+    (3, 3, 1e5, 1, "0x1.4997000000000p+19", "0x1.27d4a112a7ca7p+19",
+     "0x0.0p+0", "0x1.cb8e8b55b0a96p-1",
+     "0x1.4997000000000p+19", "0x1.27d4a112a7ca7p+19"),
+    (3, 3, 1e5, 2, "0x1.4997000000000p+19", "0x1.a006399bb7c7fp+19",
+     "0x0.0p+0", "0x1.4322b94a40923p+0",
+     "0x1.4997000000000p+19", "0x1.a006399bb7c7fp+19"),
+    (3, 3, 1e7, 0, "0x1.017df80000000p+26", "0x1.cb5a66aaaaaaap+26",
+     "0x0.0p+0", "0x1.c8b0fcd6e9e06p+0",
+     "0x1.017df80000000p+26", "0x1.cb5a66aaaaaaap+26"),
+    (3, 3, 1e7, 1, "0x1.017df80000000p+26", "0x1.ce3c3bad262c4p+25",
+     "0x0.0p+0", "0x1.cb8e8b55b0a95p-1",
+     "0x1.017df80000000p+26", "0x1.ce3c3bad262c4p+25"),
+    (3, 3, 1e7, 2, "0x1.017df80000000p+26", "0x1.4504dd01a7943p+26",
+     "0x0.0p+0", "0x1.4322b94a40922p+0",
+     "0x1.017df80000000p+26", "0x1.4504dd01a7943p+26"),
+    (5, 2, 1e4, 0, "0x1.d4bffffffffffp+15", "0x1.77f9fffd3bb9ap+16",
+     "-0x1.e70e15bcef64fp-15", "0x1.9aaaaaa7a50abp+0",
+     "0x1.d4bffffffffffp+15", "0x1.77f9fffd3bb9ap+16"),
+    (5, 2, 1e4, 1, "0x1.d4bffffffffffp+15", "0x1.4c472ae6106c7p+15",
+     "-0x1.a1f961ad7a123p-13", "0x1.6aefa999ab8a0p-1",
+     "0x1.d4bffffffffffp+15", "0x1.4c472ae6106c7p+15"),
+    (5, 2, 1e4, 2, "0x1.d4bffffffffffp+15", "0x1.dcbce6bc1efd5p+15",
+     "-0x1.67431560d61fcp-11", "0x1.045cc9ecadaa4p+0",
+     "0x1.d4bffffffffffp+15", "0x1.dcbce6bc1efd6p+15"),
+]
+
+
+@pytest.mark.parametrize(
+    "case", _MOMENT_BITS, ids=lambda c: f"x{c[0]}-b{c[1]}-T{c[2]:g}-ell{c[3]}"
+)
+def test_one_window_pass_keeps_every_bit(case):
+    # M1 as the n = 1 slice of M2's window, and c_n read only inside it,
+    # leave every moment and certificate bit as it was
+    x, b, T, ell, *bits = case
+    spec = ResonatorSpec(x, b)
+    m2 = moment_M2(spec, T, ell)
+    cert = certificate(spec, T, ell)
+    got = [moment_M1(spec, T), m2.real, m2.imag, cert.ratio, cert.M1,
+           cert.M2_abs]
+    assert [v.hex() for v in got] == bits
+
+
+def test_certificate_never_builds_the_coefficient_array(monkeypatch):
+    # at T = 1e7 the array of P took 240 MB; the window reads 27 c_n
+    def never(*args, **kwargs):
+        raise AssertionError("P's coefficient array built")
+
+    monkeypatch.setattr(rzeta.engine, "dirichlet_coefficients", never)
+    monkeypatch.setattr(rzeta.zeta, "dirichlet_coefficients", never)
+    certificate(ResonatorSpec(3, 3), 1e7, 1)  # warm the phihat grid
+    tracemalloc.start()
+    try:
+        cert = certificate(ResonatorSpec(3, 3), 1e7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
     assert cert.ratio == pytest.approx(cert.rhs_prediction, rel=1e-6)
 
 

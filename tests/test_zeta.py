@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import rzeta.zeta
+from rzeta.engine import moment_M2
 from rzeta.errors import AccuracyError
+from rzeta.resonator import ResonatorSpec
 from rzeta.zeta import (
     EvalPoint,
     _bernoulli_table,
@@ -21,6 +23,7 @@ from rzeta.zeta import (
     cauchy_ring,
     dirichlet_coefficients,
     dirichlet_poly,
+    dirichlet_terms,
     zeta_deriv_cauchy,
     zeta_em,
     zeta_em_array,
@@ -265,6 +268,27 @@ def test_dirichlet_coefficients_refuse_the_double_range():
             dirichlet_coefficients(2e4, 400)
         logn, coeffs = dirichlet_coefficients(2e4, 170)
     assert np.all(np.isfinite(coeffs))
+
+
+@pytest.mark.parametrize(
+    "T, ell_star", [(10, 852), (100, 465), (2e4, 310), (1e5, 291), (1e6, 271)]
+)
+def test_dirichlet_terms_refuse_where_the_array_overflows(T, ell_star):
+    # the log-space decision matches the array's own overflow around the
+    # least ell the array route refuses
+    n = np.arange(1, math.floor(T) + 1, dtype=np.float64)
+    for ell in range(ell_star - 2, ell_star + 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = not np.isfinite(np.sum(np.log(n) ** ell / n))
+        assert overflows == (ell >= ell_star)
+        if overflows:
+            with pytest.raises(ValueError, match=f"double range at ell={ell}"):
+                dirichlet_terms(T, ell)
+        else:
+            assert dirichlet_terms(T, ell) == n.size
+    # the window reaches n = 39 only, and (log 39)^400/39 is finite
+    with pytest.raises(ValueError, match="ell=400"):
+        moment_M2(ResonatorSpec(3, 3), 2e4, 400)
 
 
 def test_ring_memory_is_bounded_by_its_block():
