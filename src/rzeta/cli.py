@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands run one verification pipeline each and print a flat JSON
-document to stdout (or ``--output``); ``--csv`` switches the tabular
-payloads (scan samples, constant-comparison table) to CSV.  Identical
-argv produce byte-identical output when ``--no-timestamp`` is given.
+Each subcommand runs one verification pipeline and returns its payload:
+a flat dict, or with ``--csv`` a (header, rows) pair for the tabular
+payloads (scan samples, constant-comparison table).  :func:`run` renders
+the payload as JSON or CSV and writes it once, to stdout or
+``--output``.  Identical argv produce byte-identical output when
+``--no-timestamp`` is given.
 
-Exit codes: 0 success, 1 validation error, 2 numerical-accuracy failure.
+Exit codes: 0 success, 1 validation error or an unwritable output,
+2 numerical-accuracy failure.
 """
 
 from __future__ import annotations
@@ -84,28 +87,21 @@ def _jsonable(value, prec: Precision):
     return value
 
 
-def _emit(doc: dict, args, prec: Precision = DOUBLE) -> None:
+def _render(payload, args, prec: Precision) -> str:
+    """A subcommand's payload as text: a dict as JSON, a (header, rows)
+    pair as CSV."""
+    if isinstance(payload, tuple):
+        header, rows = payload
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
     if not args.no_timestamp:
-        doc = {**doc, "timestamp": datetime.now(timezone.utc).isoformat()}
-    doc = _jsonable(doc, prec)
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    _write(text + "\n", args.output)
-
-
-def _write(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(header, rows, args) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), args.output)
+        now = datetime.now(timezone.utc).isoformat()
+        payload = {**payload, "timestamp": now}
+    doc = _jsonable(payload, prec)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ------------------------------------------------------------ subcommands --
@@ -119,7 +115,7 @@ def _cmd_sieve(args, prec):
     }
     if len(table.primes) <= 200:
         doc["primes"] = list(table.primes)
-    _emit(doc, args)
+    return doc
 
 
 def _cmd_ssum(args, prec):
@@ -134,7 +130,7 @@ def _cmd_ssum(args, prec):
         scale = max(abs(sb), abs(sj), 1e-300)
         doc["rel_diff"] = float(abs(sb - sj) / scale)
     doc["S"] = doc.get("S_jet", doc.get("S_brute"))
-    _emit(doc, args, prec)
+    return doc
 
 
 def _cmd_prop(args, prec):
@@ -142,7 +138,7 @@ def _cmd_prop(args, prec):
     rep = proposition_report(spec, args.ell, prec)
     doc = {"x": args.x, "b": args.b, "J": args.J, "ell": args.ell}
     doc.update(asdict(rep))
-    _emit(doc, args, prec)
+    return doc
 
 
 def _cmd_lemma(args, prec):
@@ -150,7 +146,7 @@ def _cmd_lemma(args, prec):
     product = layer_product(spec, spec.J, prec)
     asym = constants(prec).exp_gamma * iterated_log(args.x, 1, prec)
     ratio = product / asym
-    doc = {
+    return {
         "x": args.x,
         "b": args.b,
         "product": product,
@@ -158,7 +154,6 @@ def _cmd_lemma(args, prec):
         "ratio": ratio,
         "deviation": ratio - 1,
     }
-    _emit(doc, args, prec)
 
 
 def _cmd_zeta(args, prec):
@@ -177,7 +172,7 @@ def _cmd_zeta(args, prec):
         doc["oracle_re"] = signed.real
         doc["oracle_im"] = signed.imag
         doc["abs_error"] = abs(signed - value)
-    _emit(doc, args)
+    return doc
 
 
 def _cmd_resonate(args, prec):
@@ -185,25 +180,21 @@ def _cmd_resonate(args, prec):
     cert = certificate(spec, args.T, args.ell)
     doc = {"x": args.x, "b": args.b, "T": args.T, "ell": args.ell}
     doc.update(asdict(cert))
-    _emit(doc, args)
+    return doc
 
 
 def _cmd_scan(args, prec):
     if args.csv:
         t, v = scan_samples(args.T, args.ell, args.step)
-        _emit_csv(
-            ("t", "value"),
-            ((repr(float(a)), repr(float(b))) for a, b in zip(t, v)),
-            args,
-        )
-        return
+        rows = ((repr(float(a)), repr(float(b))) for a, b in zip(t, v))
+        return ("t", "value"), rows
     spec = None
     if args.x is not None or args.b is not None:
         if args.x is None or args.b is None:
             raise ValueError("scan needs both --x and --b, or neither")
         spec = ResonatorSpec(args.x, args.b)
     report = scan_max(args.T, args.ell, args.step, refine=args.refine, spec=spec)
-    _emit(asdict(report), args)
+    return asdict(report)
 
 
 def comparison_rows(ell_max: int, T: float) -> list[dict]:
@@ -244,21 +235,16 @@ def comparison_rows(ell_max: int, T: float) -> list[dict]:
 def _cmd_factors(args, prec):
     rows = comparison_rows(args.ellmax, args.T)
     if args.csv:
-        _emit_csv(
-            ("ell", "new_bound", "yang_bound", "factor"),
+        return ("ell", "new_bound", "yang_bound", "factor"), (
             (
-                (
-                    r["ell"],
-                    repr(r["new_bound"]),
-                    repr(r["yang_bound"]),
-                    "" if r["factor"] is None else repr(r["factor"]),
-                )
-                for r in rows
-            ),
-            args,
+                r["ell"],
+                repr(r["new_bound"]),
+                repr(r["yang_bound"]),
+                "" if r["factor"] is None else repr(r["factor"]),
+            )
+            for r in rows
         )
-        return
-    _emit({"T": args.T, "ell_max": args.ellmax, "rows": rows}, args)
+    return {"T": args.T, "ell_max": args.ellmax, "rows": rows}
 
 
 # ----------------------------------------------------------------- parser --
@@ -365,14 +351,24 @@ def run(argv: list[str] | None = None) -> int:
         check_constants(prec)
         with warnings.catch_warnings(), prec.context():
             warnings.simplefilter("default")
-            args.func(args, prec)
-        return 0
+            text = _render(args.func(args, prec), args, prec)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return 2
+    try:
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = args.output or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main() -> None:

@@ -393,14 +393,14 @@ class ScanReport:
     refined: bool
 
 
-def _golden_max(f, lo, hi, iterations=40):
-    """Golden-section maximization of a unimodal-ish bracket."""
+def _golden_max(f, lo, hi):
+    """Golden-section maximization of a unimodal-ish bracket, 40 steps."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(40):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)

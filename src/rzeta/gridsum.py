@@ -157,8 +157,6 @@ def exp_sum_on_grid(
     omega = np.asarray(omega, dtype=np.float64)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if omega.size == 0:
-        return np.zeros(count, dtype=np.complex128)
     if omega.size <= 64:
         return _cumprod_grid(omega, coeffs, t0, dt, count)
     return _nufft_grid(omega, coeffs, t0, dt, count)

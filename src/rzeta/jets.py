@@ -72,23 +72,11 @@ def jet_identity(center, order: int, prec: Precision = DOUBLE) -> Jet:
     return Jet(center, (one,) + (zero,) * order)
 
 
-def jet_product(
-    factors: Sequence[Jet],
-    *,
-    center=0.0,
-    order: int | None = None,
-    prec: Precision = DOUBLE,
-) -> Jet:
-    """Fold a sequence of jets into their product, in the given order.
-
-    An empty sequence yields the identity jet at the supplied
-    center/order (order is then required).
-    """
-    factors = list(factors)
+def jet_product(factors: Sequence[Jet], *, prec: Precision = DOUBLE) -> Jet:
+    """Fold a non-empty sequence of jets into their product, in the given
+    order, at the working precision ``prec``."""
     if not factors:
-        if order is None:
-            raise ValueError("empty jet product needs an explicit order")
-        return jet_identity(center, order, prec)
+        raise ValueError("a jet product needs at least one factor")
     with prec.context():
         acc = factors[0]
         for f in factors[1:]:

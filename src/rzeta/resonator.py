@@ -55,8 +55,6 @@ ENUMERATION_CAP = 10**6
 def _primes_upto(limit: int) -> tuple[int, ...]:
     from .primes import sieve_primes
 
-    if limit < 2:
-        return ()
     return sieve_primes(limit).primes
 
 

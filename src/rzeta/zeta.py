@@ -317,17 +317,18 @@ def _ring_head(s0: complex, offsets: np.ndarray, cut: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2048)
-def _zeta_ring_values(
-    s0r: float, s0i: float, radius: float, nodes: int
-) -> tuple:
-    """Cached zeta values on the circle; shared across derivative orders.
-    The head is :func:`_ring_head`, the tail that of :func:`zeta_em_array`."""
+def _zeta_ring_values(s0r: float, s0i: float) -> np.ndarray:
+    """zeta on the 2*RING_NODES circle of radius RING_RADIUS around
+    s0r + i s0i, as one read-only array cached per height and shared
+    across derivative orders.  The head is :func:`_ring_head`, the tail
+    that of :func:`zeta_em_array`."""
     s0 = complex(s0r, s0i)
-    offsets, _ = cauchy_ring(0, radius, nodes)
+    offsets, _ = cauchy_ring(0, RING_RADIUS, 2 * RING_NODES)
     s = s0 + offsets
     cut = _em_cut(float(np.max(np.abs(s.imag))), EM_ORDER)
-    head = _ring_head(s0, offsets, cut)
-    return tuple(head + _em_tail_terms(s, cut, EM_ORDER))
+    values = _ring_head(s0, offsets, cut) + _em_tail_terms(s, cut, EM_ORDER)
+    values.flags.writeable = False
+    return values
 
 
 def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
@@ -346,7 +347,7 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
         )
     if s0.real - radius <= 0:
         raise ValueError("circle dips into Re(s) <= 0, outside the oracle range")
-    vals = np.array(_zeta_ring_values(s0.real, s0.imag, radius, nodes))
+    vals = _zeta_ring_values(s0.real, s0.imag)
     _, weights = cauchy_ring(ell, radius, nodes)
     fine = _weighted_fsum(vals, weights)
     coarse = 2.0 * _weighted_fsum(vals[::2], weights[::2])

@@ -243,6 +243,60 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["count"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sieve", "--limit", "10"),
+        ("factors", "--ellmax", "3", "--T", "1e30", "--csv"),
+    ],
+    ids=["sieve-json", "factors-csv"],
+)
+@pytest.mark.parametrize(
+    "target", ["no/such/x.out", ""], ids=["missing-dir", "directory"]
+)
+def test_unwritable_output_exits_1(capsys, tmp_path, argv, target):
+    output = tmp_path / target
+    code, out, err = invoke(
+        capsys, *argv, "--output", str(output), "--no-timestamp"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {output}: ")
+
+
+def test_unwritable_output_ends_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rzeta.cli", "sieve", "--limit", "10",
+         "--output", str(tmp_path / "missing" / "x.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+
+
+def test_scan_certificate_is_resonate_ratio(capsys):
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "3", "--b", "3", "--T", "2e4",
+        "--ell", "1", "--no-timestamp",
+    )
+    assert code == 0, err
+    ratio = json.loads(out)["ratio"]
+    scan = ("scan", "--T", "2e4", "--ell", "1", "--step", "0.068")
+    code, out, err = invoke(
+        capsys, *scan, "--x", "3", "--b", "3", "--no-timestamp"
+    )
+    assert code == 0, err
+    assert json.loads(out)["certificate_ratio"] == ratio
+    code, out, err = invoke(capsys, *scan, "--x", "3", "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert "scan needs both --x and --b, or neither" in err
+
+
 def test_scan_csv_rejects_negative_ell(capsys):
     code, out, err = invoke(
         capsys,
@@ -638,9 +692,11 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("sieve limit", "got 1e+300", "100000000")),
         (("sieve", "--limit", "100000001"),
          ("got 100000001", "100000000")),
+        (("scan", "--T", "1.5", "--ell", "0", "--step", "0.01"),
+         ("need T >= 2", "got 1.5")),
     ],
     ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x",
-         "sieve-limit"],
+         "sieve-limit", "scan-T-below-2"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept

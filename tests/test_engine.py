@@ -455,6 +455,12 @@ def test_moments_match_40_digit_reference(ell):
     assert abs(got / REFERENCE_M2_ABS[ell] - 1) <= 5e-15
 
 
+def test_moment_M2_with_no_dirichlet_term_is_zero():
+    # T = 0.5: P has floor(T) = 0 terms, and max M = 36 > sqrt(T) warns
+    with pytest.warns(ParameterWarning, match="sqrt"):
+        assert moment_M2(ResonatorSpec(3, 3), 0.5, 1) == 0j
+
+
 def test_certificate_moments_run_no_quadrature(monkeypatch):
     # the moments of P are window sums: no grid transform of R or P, no
     # integrate_refine, and one phihat call per moment over distinct xi

@@ -1,5 +1,6 @@
 """Jet arithmetic against closed-form Taylor data."""
 
+import inspect
 import math
 
 import pytest
@@ -27,9 +28,17 @@ def geometric_jet(order):
     return Jet(0.0, (1.0,) * (order + 1))
 
 
-def test_empty_product_is_identity():
-    j = jet_product([], center=0.0, order=2)
-    assert j.coeffs == (1.0, 0.0, 0.0)
+def test_empty_product_is_refused():
+    # an empty product has no center or order to build an identity jet at
+    with pytest.raises(ValueError, match="at least one factor"):
+        jet_product([])
+
+
+def test_jet_product_takes_factors_and_prec_only():
+    assert list(inspect.signature(jet_product).parameters) == [
+        "factors",
+        "prec",
+    ]
 
 
 def test_polynomial_product_exact():

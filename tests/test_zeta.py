@@ -1,5 +1,6 @@
 """Dirichlet polynomial, Euler-Maclaurin zeta, Cauchy-circle derivatives."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from rzeta.resonator import ResonatorSpec
 from rzeta.zeta import (
     EvalPoint,
     _bernoulli_table,
+    RING_NODES,
     LinearGenerator,
     _zeta_ring_values,
     approx_error_probe,
@@ -168,6 +170,11 @@ def test_zeta_deriv_cauchy_pole_guard():
         zeta_deriv_cauchy(1.1 + 0j, 0)
 
 
+def test_zeta_deriv_cauchy_refuses_a_ring_left_of_re_s_0():
+    with pytest.raises(ValueError, match=r"dips into Re\(s\) <= 0"):
+        zeta_deriv_cauchy(0.2 + 5j, 0)
+
+
 def test_zeta_deriv_cauchy_refuses_two_grid_gap_near_pole():
     # 0.05 from the circle to the pole: 64 and 128 nodes disagree, and
     # the reported gap is the gap between the two plain trapezoid rules
@@ -197,7 +204,7 @@ def test_coarse_check_is_the_even_nodes_of_the_fine_ring(monkeypatch):
     monkeypatch.setattr(rzeta.zeta, "_weighted_fsum", recording)
     value = zeta_deriv_cauchy(s0, ell)
     monkeypatch.undo()
-    ring = np.array(_zeta_ring_values(s0.real, s0.imag, 0.25, 2 * n))
+    ring = _zeta_ring_values(s0.real, s0.imag)
     fine = cauchy_derivative(lambda z: ring, s0, ell, nodes=2 * n)
     from_even = cauchy_derivative(lambda z: ring[::2], s0, ell, nodes=n)
     assert value == fine == rules[0]
@@ -217,6 +224,18 @@ def test_one_ring_evaluation_per_height():
         for ell in (0, 1, 2):
             zeta_deriv_cauchy(1 + 1j * t, ell)
         assert _zeta_ring_values.cache_info().misses == misses + k
+
+
+def test_ring_values_are_one_read_only_array_per_height():
+    assert list(inspect.signature(_zeta_ring_values).parameters) == [
+        "s0r",
+        "s0i",
+    ]
+    ring = _zeta_ring_values(1.0, 2345.6)
+    assert ring.dtype == np.complex128 and ring.shape == (2 * RING_NODES,)
+    assert _zeta_ring_values(1.0, 2345.6) is ring
+    with pytest.raises(ValueError, match="read-only"):
+        ring[0] = 0
 
 
 def test_lcg_reference_sequence():
