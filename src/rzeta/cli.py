@@ -210,8 +210,6 @@ def comparison_rows(ell_max: int, T: float) -> list[dict]:
         raise ValueError(
             f"need 1 <= ell_max <= {MAX_TABLE_ELL}, got {ell_max}"
         )
-    if T <= math.exp(math.e):
-        raise ValueError(f"need T > e^e, got {T}")
     try:
         bound_constants(ell_max, T)
     except OverflowError:

@@ -27,10 +27,11 @@ phihat(T log(n m'/m)) for P(t) = sum c_n n^(-it).  Only the window
 moment is a sum over the few (n, m, m') in it, at a cost that does not
 grow with T: c_n is formed only at the n inside the window, and M1 is
 the n = 1 slice of M2's terms, so a certificate enumerates the window
-once.  One phihat call serves all of its fractions: a trapezoid rule on
-one cached grid (2048 intervals for every in-window xi), exact up to
-phihat's aliases (Trefethen & Weideman, SIAM Review 2014) and checked
-against its own even-node half.  This is the one route for each moment;
+once.  xi is taken from exact integers, so equal fractions n m'/m give
+equal xi, and one phihat call serves the window's distinct xi: a
+trapezoid rule on one cached grid (2048 intervals for every in-window
+xi), exact up to phihat's aliases (Trefethen & Weideman, SIAM Review
+2014) and checked against its own even-node half.  This is the one route for each moment;
 integrating over [T, 2T] by quadrature, with P or with Euler-Maclaurin
 zeta, is kept as the tests' independent reference
 (``tests/quadrature_reference.py``).
@@ -68,6 +69,11 @@ ENGINE_ELEMENT_CAP = 4096
 # inputs, linear in the point count (tracemalloc, 0.29M to 1M points at
 # T = 1e4 to 5e4: 99 MB at 1M), so 5M points stay near 500 MB.
 MAX_SCAN_POINTS = 5_000_000
+# Refusal above this many candidate (n, m, m') in a moment window: about
+# a second of work.  A certificate's window holds far fewer (131 at
+# x = 3, b = 3, T = 2e4; 945 at x = 5, b = 3, T = 1e7); x = 30, b = 2 at
+# T = 1e4, max M far above sqrt(T), would hold about 1e8.
+MAX_WINDOW_CANDIDATES = 1_000_000
 
 
 class ParameterWarning(UserWarning):
@@ -260,7 +266,7 @@ def _resonator(spec: ResonatorSpec, T: float):
         raise ValueError(f"T must be positive, got {T}")
     _warn_if_peak_large(spec, T, stacklevel=5)
     elements = enumerate_M(spec, cap=ENGINE_ELEMENT_CAP)
-    return sorted((e.log_value(), e.value()) for e in elements)
+    return sorted((math.log(m), m) for m in elements)
 
 
 # Slack on the rounded log bounds that pick candidate pairs; membership is
@@ -273,10 +279,12 @@ def _window(spec: ResonatorSpec, T: float, terms: int):
     |xi| < PHI_BAND, xi = T log(n m'/m): integral P(t) |R(t)|^2 phi(t/T)
     dt for P(t) = sum c_n n^(-it) is T times the sum of c_n phihat(xi)
     over them, since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).
-    xi comes from the reduced fraction n m'/m = p/q as T log1p((p - q)/q)
-    in exact integers.  The distinct in-window fractions are collected
-    first, and one phihat call evaluates them all.  Every in-window
-    n = 1 term is found for any ``terms`` >= 1: M1 is their slice.
+    xi is T log1p((n m' - m)/m), the quotient correctly rounded from
+    exact integers, so equal fractions give equal xi; one phihat call
+    evaluates the distinct xi.  Every in-window n = 1 term is found for
+    any ``terms`` >= 1: M1 is their slice.  Refuses past
+    MAX_WINDOW_CANDIDATES candidate (n, m, m'), as when max M far
+    exceeds sqrt(T).
     """
     elements = _resonator(spec, T)
     logs = [log_m for log_m, _ in elements]
@@ -284,8 +292,8 @@ def _window(spec: ResonatorSpec, T: float, terms: int):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
     reach = PHI_BAND / T  # |log(n m'/m)| < reach inside the window
     span = math.log(terms)
-    slot = {}  # reduced fraction -> index into xis, or None outside
-    xis, ns, slots = [], [], []
+    candidates = 0
+    ns, xis = [], []
     for log_m, m in elements:
         # 1 <= n <= terms confines log m' to [log m - span, log m] +- reach
         first = bisect.bisect_left(logs, log_m - span - reach - _LOG_SLACK)
@@ -295,22 +303,23 @@ def _window(spec: ResonatorSpec, T: float, terms: int):
             high = min(log_m - log_m2 + reach, span)
             lo = max(1, math.floor(math.exp(low)))
             hi = min(terms, math.ceil(math.exp(high)))
+            candidates += hi - lo + 1
+            if candidates > MAX_WINDOW_CANDIDATES:
+                raise ValueError(
+                    f"the moment window at T = {T:g} reaches {candidates} "
+                    f"candidate (n, m, m'), beyond the limit of "
+                    f"{MAX_WINDOW_CANDIDATES}: max M = "
+                    f"{count_text(elements[-1][1])} against sqrt(T) = "
+                    f"{math.sqrt(T):.6g}"
+                )
             for n in range(lo, hi + 1):
-                g = math.gcd(n * m2, m)
-                key = (n * m2 // g, m // g)
-                if key not in slot:
-                    p, q = key
-                    xi = T * math.log1p((p - q) / q)
-                    slot[key] = None
-                    if abs(xi) < PHI_BAND:
-                        slot[key] = len(xis)
-                        xis.append(xi)
-                index = slot[key]
-                if index is not None:
+                xi = T * math.log1p((n * m2 - m) / m)
+                if abs(xi) < PHI_BAND:
                     ns.append(n)
-                    slots.append(index)
+                    xis.append(xi)
     # the diagonal n = 1, m = m' has xi = 0: ns is never empty here
-    return np.array(ns), bump_phi_hat(np.array(xis))[slots]
+    distinct, index = np.unique(xis, return_inverse=True)
+    return np.array(ns), bump_phi_hat(distinct)[index]
 
 
 def _sum_M1(T: float, ns, values) -> float:
@@ -487,12 +496,13 @@ def scan_samples(T: float, ell: int, grid_step: float):
         )
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    count = int(math.ceil(T / grid_step)) + 1
-    if count > MAX_SCAN_POINTS:
+    points = T / grid_step + 1  # a float, inf for a subnormal step
+    if points > MAX_SCAN_POINTS:
         raise ValueError(
-            f"scan of {count_text(count)} grid points exceeds the limit of "
-            f"{MAX_SCAN_POINTS}"
+            f"scan of {points:.3g} grid points (grid_step {grid_step}) "
+            f"exceeds the limit of {MAX_SCAN_POINTS}"
         )
+    count = int(math.ceil(T / grid_step)) + 1
     step = T / (count - 1)
     logn, coeffs = dirichlet_coefficients(T, ell)
     values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))

@@ -30,7 +30,6 @@ Convention: the k=1 term contributes (log 1)^0 = 1 to S(x; 0).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import count_text
 from .jets import (
     Jet,
     derivative_from_jet,
@@ -90,32 +90,6 @@ class ResonatorSpec:
         return tuple(p for p in self.primes if p <= threshold)
 
 
-@dataclass(frozen=True)
-class FactoredElement:
-    """An element of M as its exponent vector over the generating
-    ResonatorSpec's primes."""
-
-    primes: tuple[int, ...]
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.primes) != len(self.exponents):
-            raise ValueError("primes and exponents must have equal length")
-
-    def value(self) -> int:
-        v = 1
-        for p, e in zip(self.primes, self.exponents):
-            v *= p**e
-        return v
-
-    def log_value(self, prec: Precision = DOUBLE):
-        with prec.context():
-            return sum(
-                (e * rlog(p, prec) for p, e in zip(self.primes, self.exponents)),
-                start=real(0, prec),
-            )
-
-
 def resonator_cardinality(spec: ResonatorSpec) -> int:
     """|M| = b^pi(x), exact."""
     return spec.b ** len(spec.primes)
@@ -139,42 +113,52 @@ def _refuse_over_cap(primes: tuple[int, ...], b: int, cap: int) -> None:
 
 def _times(count: int, value, prec: Precision):
     """count * value, for an exact factor of |M| = b^pi(x) and a value
-    normalized by it; refuses a count beyond the double range."""
+    normalized by it; refuses a count or a product beyond the double
+    range."""
     if prec.is_double:
         try:
-            return float(count) * value
-        except OverflowError:
+            product = float(count) * value
+        except OverflowError:  # the count alone is past the double range
+            product = math.inf
+        if not math.isfinite(product):
             raise OverflowError(
-                f"b^pi(x) scaling of about 10^{math.log10(count):.0f} exceeds "
-                "the double range; use a high-precision mode or the value "
-                "normalized by |M|"
-            ) from None
+                f"b^pi(x) = {count_text(count)} times the value normalized "
+                "by |M| exceeds the double range; use high precision "
+                "(--precision) or the value normalized by |M|"
+            )
+        return product
     with prec.context():
         return real(count, prec) * value
 
 
-def enumerate_M(
-    spec: ResonatorSpec, cap: int = ENUMERATION_CAP
-) -> list[FactoredElement]:
-    """All elements of M, each exactly once, in lexicographic exponent
-    order (first prime slowest).  Refuses when b^pi(x) exceeds ``cap``."""
-    primes = spec.primes
-    _refuse_over_cap(primes, spec.b, cap)
-    return [
-        FactoredElement(primes, exps)
-        for exps in itertools.product(range(spec.b), repeat=len(primes))
-    ]
+def enumerate_M(spec: ResonatorSpec, cap: int = ENUMERATION_CAP) -> list[int]:
+    """All elements of M, the divisors of P, each exactly once, in
+    lexicographic exponent order (first prime slowest).  Refuses when
+    b^pi(x) exceeds ``cap``."""
+    _refuse_over_cap(spec.primes, spec.b, cap)
+    elements = [1]
+    for p in spec.primes:
+        elements = [m * p**e for m in elements for e in range(spec.b)]
+    return elements
 
 
-def weight_w(k: FactoredElement, spec: ResonatorSpec) -> int:
+def weight_w(k: int, spec: ResonatorSpec) -> int:
     """Multiplicity of k in M: #{m in M : k | m} = prod_p (b - v_p(k))."""
-    if len(k.primes) != len(spec.primes) or k.primes != spec.primes:
-        raise ValueError("element does not belong to this spec's prime set")
-    w = 1
-    for e in k.exponents:
-        if e >= spec.b:
-            raise ValueError(f"exponent {e} >= b={spec.b}: not an element of M")
-        w *= spec.b - e
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"element must be a positive integer, got {k!r}")
+    rest, w = k, 1
+    for p in spec.primes:
+        v = 0
+        while rest % p == 0:
+            rest //= p
+            v += 1
+        if v >= spec.b:
+            raise ValueError(
+                f"{k} has {p}^{v} with {v} >= b={spec.b}: not an element of M"
+            )
+        w *= spec.b - v
+    if rest != 1:
+        raise ValueError(f"{k} has a prime factor above x={spec.x:g}")
     return w
 
 
@@ -238,20 +222,16 @@ def S_brute(
     return _weighted_sum(spec.primes, spec.b, cap, prec, ell)
 
 
-def S_nested(spec: ResonatorSpec, ell: int, cap: int = ENUMERATION_CAP) -> float:
+def S_nested(spec: ResonatorSpec, ell: int) -> float:
     """S(x; l) as the literal double sum over m in M and divisors k | m.
 
     Oracle route: makes no use of the multiplicity collapse, so it checks
-    both S_brute and S_jet.  Cost sum_m d(m); small specs only.
+    both S_brute and S_jet.  Cost |M|^2; small specs only.
     """
-    elems = enumerate_M(spec, cap)
-    terms = []
-    for m in elems:
-        for exps in itertools.product(*(range(e + 1) for e in m.exponents)):
-            k = FactoredElement(m.primes, exps)
-            logk = k.log_value()
-            terms.append(logk**ell / k.value())
-    return math.fsum(terms)
+    elements = enumerate_M(spec)
+    return math.fsum(
+        math.log(k) ** ell / k for m in elements for k in elements if m % k == 0
+    )
 
 
 def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
@@ -420,7 +400,10 @@ def bound_constants(ell: int, T: float) -> tuple[float, float]:
     e^gamma l^l/(l+1)^(l+1) (log_2 T - log_3 T)^(l+1), in double.
 
     Yang's coefficient is written e^gamma/((l+1) (1+1/l)^l), 1 at l=0, so
-    no intermediate leaves the double range before the result does."""
+    no intermediate leaves the double range before the result does.
+    Needs T > e^e, where log_3 T > 0."""
+    if T <= math.exp(math.e):
+        raise ValueError(f"need T > e^e, got {T}")
     eg = constants().exp_gamma
     log2T = iterated_log(T, 2)
     log3T = iterated_log(T, 3)

@@ -694,9 +694,16 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("got 100000001", "100000000")),
         (("scan", "--T", "1.5", "--ell", "0", "--step", "0.01"),
          ("need T >= 2", "got 1.5")),
+        (("scan", "--T", "2", "--ell", "0", "--step", "0.5"),
+         ("need T > e^e", "got 2")),
+        (("scan", "--T", "1e4", "--ell", "3", "--step", "5e-324"),
+         ("grid_step 5e-324", "5000000")),
+        (("ssum", "--x", "3", "--b", "171", "--ell", "170"),
+         ("29241", "double range", "--precision")),
     ],
     ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x",
-         "sieve-limit", "scan-T-below-2"],
+         "sieve-limit", "scan-T-below-2", "scan-T-below-e-e",
+         "scan-step-tiny", "ssum-S-overflow"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept

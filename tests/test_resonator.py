@@ -12,9 +12,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import rzeta
 from rzeta.precision import DOUBLE, HIGH
 from rzeta.resonator import (
-    FactoredElement,
     ResonatorSpec,
     S_brute,
     S_jet,
@@ -124,10 +124,10 @@ def test_max_element():
 
 def test_enumerate_small_sets():
     spec = ResonatorSpec(3, 2)
-    vals = sorted(e.value() for e in enumerate_M(spec))
+    vals = sorted(enumerate_M(spec))
     assert vals == [1, 2, 3, 6]
-    assert [e.value() for e in enumerate_M(ResonatorSpec(3, 1))] == [1]
-    vals5 = sorted(e.value() for e in enumerate_M(ResonatorSpec(5, 2)))
+    assert enumerate_M(ResonatorSpec(3, 1)) == [1]
+    vals5 = sorted(enumerate_M(ResonatorSpec(5, 2)))
     assert vals5 == [1, 2, 3, 5, 6, 10, 15, 30]  # divisors of 30
     assert vals5 == oracle_M(5, 2)
 
@@ -158,33 +158,39 @@ def test_spec_rejects_non_integer_b_and_J(b, J):
         ResonatorSpec(3, b, J)
 
 
-def test_element_log_roundtrip():
+def test_elements_are_divisors_in_exponent_order():
     spec = ResonatorSpec(13, 3)
-    for e in enumerate_M(spec):
-        v = e.value()
-        assert e.log_value() == pytest.approx(math.log(v), rel=1e-12, abs=1e-12)
+    elements = enumerate_M(spec)
+    peak = max_element(spec)
+    assert all(type(m) is int and peak % m == 0 for m in elements)
+    # lexicographic exponent order, first prime slowest
+    assert elements == [
+        math.prod(p**e for p, e in zip(spec.primes, exps))
+        for exps in itertools.product(range(spec.b), repeat=len(spec.primes))
+    ]
+    # M is the integers it holds: no element class is exported
+    assert "FactoredElement" not in rzeta.__all__
 
 
 def test_weights():
     spec = ResonatorSpec(3, 2)
-    elems = {e.value(): e for e in enumerate_M(spec)}
-    assert weight_w(elems[1], spec) == 4
-    assert weight_w(elems[6], spec) == 1
+    assert weight_w(1, spec) == 4
+    assert weight_w(6, spec) == 1
     spec3 = ResonatorSpec(3, 3)
-    elems3 = {e.value(): e for e in enumerate_M(spec3)}
-    assert weight_w(elems3[4], spec3) == 3  # (3-2) * 3
-    with pytest.raises(ValueError):
-        weight_w(FactoredElement((2, 3), (2, 0)), spec)
+    assert weight_w(4, spec3) == 3  # (3-2) * 3
+    # 0 and -6 are not positive, 4 = 2^2 has v_2 >= b, 5 is not 3-smooth,
+    # 6.0 is not an integer
+    for k in (0, -6, 4, 5, 6.0):
+        with pytest.raises(ValueError):
+            weight_w(k, spec)
 
 
 def test_weight_counts_multiples():
     # w(k) really counts members of M divisible by k
     spec = ResonatorSpec(5, 3)
-    elems = enumerate_M(spec)
-    values = [e.value() for e in elems]
-    for e in elems:
-        k = e.value()
-        assert weight_w(e, spec) == sum(1 for m in values if m % k == 0)
+    elements = enumerate_M(spec)
+    for k in elements:
+        assert weight_w(k, spec) == sum(1 for m in elements if m % k == 0)
 
 
 def test_S_small_values():
