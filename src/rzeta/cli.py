@@ -62,29 +62,21 @@ def height(text: str) -> float:
     return value
 
 
-def _resolve_precision(flag_value: int | None) -> Precision:
-    if flag_value is None:
+def _resolve_precision(args) -> Precision:
+    # a command without --precision is double-only and ignores the env
+    digits = getattr(args, "precision", 0)
+    if digits is None:
         env = os.environ.get(ENV_PRECISION, "").strip()
         if env:
             try:
-                flag_value = int(env)
+                digits = int(env)
             except ValueError:
                 raise ValueError(
                     f"{ENV_PRECISION}: invalid int value: {env!r}"
                 ) from None
-    if flag_value in (None, 0):
+    if digits in (None, 0):
         return DOUBLE
-    return Precision(flag_value)
-
-
-def _jsonable(value, prec: Precision):
-    if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, prec.effective_digits)
-    if isinstance(value, dict):
-        return {k: _jsonable(v, prec) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, prec) for v in value]
-    return value
+    return Precision(digits)
 
 
 def _render(payload, args, prec: Precision) -> str:
@@ -100,8 +92,14 @@ def _render(payload, args, prec: Precision) -> str:
     if not args.no_timestamp:
         now = datetime.now(timezone.utc).isoformat()
         payload = {**payload, "timestamp": now}
-    doc = _jsonable(payload, prec)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    def mpf_text(value):  # the one non-JSON type a payload holds
+        if isinstance(value, mpmath.mpf):
+            return mpmath.nstr(value, prec.effective_digits)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                      default=mpf_text) + "\n"
 
 
 # ------------------------------------------------------------ subcommands --
@@ -256,18 +254,20 @@ def _build_parser() -> _Parser:
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="significant decimal digits (>= 50) for the combinatorial "
-        f"routines; hardware double if omitted (env {ENV_PRECISION})",
-    )
     common.add_argument("--output", default=None, help="write to file")
     common.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit the timestamp for byte-identical reruns",
+    )
+    # only ssum, prop and lemma compute in high precision
+    precise = argparse.ArgumentParser(add_help=False, parents=[common])
+    precise.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help="significant decimal digits (>= 50) for the combinatorial "
+        f"routines; hardware double if omitted or 0 (env {ENV_PRECISION})",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,7 +276,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(func=_cmd_sieve)
 
-    p = sub.add_parser("ssum", parents=[common], help="weighted divisor sum")
+    p = sub.add_parser("ssum", parents=[precise], help="weighted divisor sum")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -284,7 +284,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ssum)
 
     p = sub.add_parser(
-        "prop", parents=[common], help="normalized sum vs asymptotic target"
+        "prop", parents=[precise], help="normalized sum vs asymptotic target"
     )
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -293,7 +293,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_prop)
 
     p = sub.add_parser(
-        "lemma", parents=[common], help="Euler product vs e^gamma log x"
+        "lemma", parents=[precise], help="Euler product vs e^gamma log x"
     )
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -345,7 +345,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        prec = _resolve_precision(args.precision)
+        prec = _resolve_precision(args)
         check_constants(prec)
         with warnings.catch_warnings(), prec.context():
             warnings.simplefilter("default")

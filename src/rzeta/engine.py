@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import AccuracyError, count_text
 from .gridsum import exp_sum_on_grid
+from .jets import MAX_DOUBLE_ORDER
 from .primes import iterated_log
 from .resonator import (
     ResonatorSpec,
@@ -214,11 +215,8 @@ def theorem_parameters(T: float) -> TheoremParameters:
     log2T = iterated_log(T, 2)
     x = logT / (3.0 * log2T)
     b = max(1, math.floor(log2T))
-    try:
-        log3T = iterated_log(T, 3)
-        J = max(1, math.floor(0.5 * log3T))
-    except ValueError:
-        J = 1
+    # T >= 100 keeps log_3 T above 0.4
+    J = max(1, math.floor(0.5 * iterated_log(T, 3)))
     if x < 2:
         warnings.warn(
             f"x = {x:.4f} < 2: no primes below x, the resonator degenerates "
@@ -376,9 +374,15 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
             f"max resonator element prod_(p <= {spec.x:g}) p^{spec.b - 1} "
             f"exceeds sqrt(T) = {math.sqrt(T):.1f}"
         )
-    # the jets refuse an ell they cannot represent before the moments run
+    if ell > MAX_DOUBLE_ORDER:
+        raise ValueError(
+            f"ell={ell} exceeds {MAX_DOUBLE_ORDER}: ell! leaves the double "
+            "range, and the certificate is computed in double only"
+        )
+    # T's term count is refused first: within it, S/|M| fits a double
+    terms = dirichlet_terms(T, ell)
     rhs = float(s_over_cardinality_jet(spec, ell))
-    ns, values = _window(spec, T, dirichlet_terms(T, ell))
+    ns, values = _window(spec, T, terms)
     m1 = _sum_M1(T, ns, values)
     m2 = _sum_M2(T, ns, values, ell)
     return Certificate(

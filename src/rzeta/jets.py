@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import mpmath
 
@@ -72,14 +72,16 @@ def jet_identity(center, order: int, prec: Precision = DOUBLE) -> Jet:
     return Jet(center, (one,) + (zero,) * order)
 
 
-def jet_product(factors: Sequence[Jet], *, prec: Precision = DOUBLE) -> Jet:
-    """Fold a non-empty sequence of jets into their product, in the given
-    order, at the working precision ``prec``."""
-    if not factors:
-        raise ValueError("a jet product needs at least one factor")
+def jet_product(factors: Iterable[Jet], *, prec: Precision = DOUBLE) -> Jet:
+    """Fold a non-empty iterable of jets into their product, in the given
+    order, at the working precision ``prec``; a generator is read as it
+    is folded, so its jets need not all be held at once."""
     with prec.context():
-        acc = factors[0]
-        for f in factors[1:]:
+        rest = iter(factors)
+        acc = next(rest, None)
+        if acc is None:
+            raise ValueError("a jet product needs at least one factor")
+        for f in rest:
             acc = jet_mul(acc, f)
     return acc
 

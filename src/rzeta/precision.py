@@ -3,8 +3,9 @@
 Every real-valued routine in the combinatorial core (primes, jets,
 resonator sums) accepts a :class:`Precision`.  The default is hardware
 double; a high-precision mode backed by mpmath with at least 50
-significant decimal digits can be selected per run (CLI flag
-``--precision`` or env var ``RZ_PRECISION``).  High-precision mode also
+significant decimal digits can be selected per run (the ``--precision``
+flag or ``RZ_PRECISION`` env var of the ``ssum``, ``prop`` and ``lemma``
+commands).  High-precision mode also
 sidesteps double-range overflow for resonator cardinalities like
 ``1000**1229``.
 

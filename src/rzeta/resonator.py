@@ -30,6 +30,7 @@ Convention: the k=1 term contributes (log 1)^0 = 1 to S(x; 0).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -253,12 +254,12 @@ def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
         done = 0
         for i in layers:
             end = len(spec.layer_primes(i))
-            factors = []
-            for p in spec.primes[done:end]:
-                local = local_factor_jet(p, b, order, prec)
-                normalized = tuple(c / b for c in local.coeffs)
-                factors.append(Jet(local.center, normalized))
-            acc = jet_product([acc, *factors], prec=prec)
+            # generators: one layer's jets are folded, not held, at once
+            local = (local_factor_jet(p, b, order, prec)
+                     for p in spec.primes[done:end])
+            normalized = (Jet(j.center, tuple(c / b for c in j.coeffs))
+                          for j in local)
+            acc = jet_product(itertools.chain([acc], normalized), prec=prec)
             products.append(acc)
             done = end
     return products

@@ -155,6 +155,14 @@ def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:
     if check_range:
         point.warn_if_off_range()
     logn, w = dirichlet_coefficients(point.cutoff, point.ell)
+    # past 2^53 rad the spacing of doubles is 2 rad: no digit of the
+    # phase t log n survives
+    phase = abs(point.t) * math.log(logn.size)
+    if phase >= 2.0**53:
+        raise ValueError(
+            f"t = {point.t:g} leaves no digit of the phase at N = "
+            f"{logn.size} terms: |t| log N = {phase:.3g} >= 2^53"
+        )
     return exp_sum_at(logn, w, point.t)
 
 

@@ -228,6 +228,13 @@ def test_env_precision(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert isinstance(doc["S"], str)
+    # --precision 0 means double and overrides the variable
+    code, out, _ = invoke(
+        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "1",
+        "--precision", "0", "--no-timestamp",
+    )
+    assert code == 0
+    assert isinstance(json.loads(out)["S"], float)
 
 
 def test_console_entry_point():
@@ -587,23 +594,36 @@ def test_lemma_product_is_prop_s_over_m(capsys, precision):
 
 
 @pytest.mark.parametrize(
-    "argv, ell",
+    "argv, ell, hint",
     [
-        (("ssum", "--x", "13", "--b", "3", "--method", "both"), 171),
-        (("prop", "--x", "10", "--b", "3", "--J", "2"), 171),
-        (("resonate", "--x", "3", "--b", "3", "--T", "2e4"), 200),
+        (("ssum", "--x", "13", "--b", "3", "--method", "both"), 171, True),
+        (("prop", "--x", "10", "--b", "3", "--J", "2"), 171, True),
+        (("resonate", "--x", "3", "--b", "3", "--T", "2e4"), 200, False),
     ],
     ids=["ssum", "prop", "resonate"],
 )
-def test_double_jets_refuse_ell_above_170(capsys, argv, ell):
+def test_double_jets_refuse_ell_above_170(capsys, argv, ell, hint):
     # ell! leaves the double range; resonate refuses before its moments
+    # and, being double-only, advises no --precision it does not take
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv, "--ell", str(ell), "--no-timestamp")
     assert code == 1
     assert out == ""
     assert f"ell={ell}" in err
-    assert "--precision" in err
+    assert ("--precision" in err) == hint
     assert time.perf_counter() - start < 5.0
+
+
+def test_resonate_refuses_its_height_before_the_jets(capsys):
+    # S/|M| at ell = 170 overflows a double here; the term count of T is
+    # refused first, and nothing advises a --precision resonate lacks
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "30", "--b", "16", "--T", "1e308",
+        "--ell", "170", "--no-timestamp",
+    )
+    assert code == 1
+    assert out == ""
+    assert "1e+308 terms" in err and "--precision" not in err
 
 
 @pytest.mark.parametrize(
@@ -700,10 +720,15 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("grid_step 5e-324", "5000000")),
         (("ssum", "--x", "3", "--b", "171", "--ell", "170"),
          ("29241", "double range", "--precision")),
+        (("zeta", "--T", "1e4", "--t", "1e308", "--ell", "8"),
+         ("t = 1e+308", "N = 10000", "2^53")),
+        (("zeta", "--T", "1e4", "--t", "1e17", "--ell", "8"),
+         ("t = 1e+17", "N = 10000", "2^53")),
     ],
     ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x",
          "sieve-limit", "scan-T-below-2", "scan-T-below-e-e",
-         "scan-step-tiny", "ssum-S-overflow"],
+         "scan-step-tiny", "ssum-S-overflow", "zeta-t-phase",
+         "zeta-t-phase-1e17"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept
@@ -715,6 +740,36 @@ def test_size_refusals_name_the_input_readably(capsys, argv, names):
     assert len(err) < 200, err
     for name in names:
         assert name in err
+
+
+_DOUBLE_ONLY = [
+    ("resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "1"),
+    ("zeta", "--T", "1e4", "--t", "15000.5", "--ell", "2"),
+    ("scan", "--T", "2e4", "--ell", "1", "--step", "0.068"),
+    ("sieve", "--limit", "100"),
+    ("factors", "--ellmax", "10", "--T", "1e30"),
+]
+
+
+@pytest.mark.parametrize("argv", _DOUBLE_ONLY, ids=lambda a: a[0])
+def test_double_only_commands_ignore_precision_env(capsys, monkeypatch,
+                                                   argv):
+    # a bad, an over-limit and a valid digit count all leave the output
+    # unchanged: these commands compute in double only
+    plain = invoke(capsys, *argv, "--no-timestamp")
+    assert plain[0] == 0, plain[2]
+    for value in ("abc", "2000", "1000"):
+        monkeypatch.setenv("RZ_PRECISION", value)
+        assert invoke(capsys, *argv, "--no-timestamp") == plain
+
+
+@pytest.mark.parametrize("argv", _DOUBLE_ONLY, ids=lambda a: a[0])
+def test_double_only_commands_refuse_precision_flag(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--precision", "50",
+                            "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert "--precision" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "60.5"])

@@ -30,8 +30,9 @@ def geometric_jet(order):
 
 def test_empty_product_is_refused():
     # an empty product has no center or order to build an identity jet at
-    with pytest.raises(ValueError, match="at least one factor"):
-        jet_product([])
+    for factors in ([], iter([])):
+        with pytest.raises(ValueError, match="at least one factor"):
+            jet_product(factors)
 
 
 def test_jet_product_takes_factors_and_prec_only():
@@ -104,6 +105,8 @@ def test_local_factor_p3_b2_order0():
 def test_scalar_product_of_local_values():
     f = jet_product([local_factor_jet(2, 2, 0), local_factor_jet(3, 2, 0)])
     assert f.coeffs[0] == pytest.approx(35 / 6, rel=1e-14)
+    # a generator is folded as it is read, to the same jet
+    assert jet_product(local_factor_jet(p, 2, 0) for p in (2, 3)) == f
 
 
 def test_local_factor_product_first_derivative():

@@ -7,6 +7,7 @@ literally, with no multiplicity collapse and no Euler products.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -410,3 +411,17 @@ def test_proposition_reads_the_public_values(prec):
         assert rep.partition_bound_over_M == partition_over_cardinality(
             spec, ell, prec
         )
+
+
+def test_euler_fold_holds_no_layer_of_jets():
+    # the fold reads its local jets from a generator: the 9592 primes
+    # below 1e5 cost one jet at a time, not a list of 9592 jets
+    spec = ResonatorSpec(1e5, 2)
+    assert len(spec.primes) == 9592  # cached now, so not counted
+    tracemalloc.start()
+    try:
+        s_over_cardinality_jet(spec, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
