@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -28,20 +27,21 @@ import mpmath
 
 from .engine import certificate, scan_max, scan_samples
 from .errors import AccuracyError
-from .precision import DOUBLE, Precision, check_constants, constants
-from .primes import iterated_log, sieve_primes
+from .precision import DOUBLE, MAX_DIGITS, Precision, check_constants
+from .primes import sieve_primes
 from .resonator import (
     ResonatorSpec,
     S_brute,
     S_jet,
     bound_constants,
-    layer_product,
     proposition_report,
     yang_factor,
 )
 from .zeta import EvalPoint, dirichlet_poly, zeta_deriv_cauchy
+# unused here; perfbench's tracer patches cli.layer_product (drop it with
+# the tracer's patch)
+from .resonator import layer_product  # noqa: F401
 
-ENV_PRECISION = "RZ_PRECISION"
 MAX_TABLE_ELL = 1000  # largest ell_max of the constant-comparison table
 
 
@@ -60,23 +60,6 @@ def height(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return value
-
-
-def _resolve_precision(args) -> Precision:
-    # a command without --precision is double-only and ignores the env
-    digits = getattr(args, "precision", 0)
-    if digits is None:
-        env = os.environ.get(ENV_PRECISION, "").strip()
-        if env:
-            try:
-                digits = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_PRECISION}: invalid int value: {env!r}"
-                ) from None
-    if digits in (None, 0):
-        return DOUBLE
-    return Precision(digits)
 
 
 def _render(payload, args, prec: Precision) -> str:
@@ -137,21 +120,6 @@ def _cmd_prop(args, prec):
     doc = {"x": args.x, "b": args.b, "J": args.J, "ell": args.ell}
     doc.update(asdict(rep))
     return doc
-
-
-def _cmd_lemma(args, prec):
-    spec = ResonatorSpec(args.x, args.b)
-    product = layer_product(spec, spec.J, prec)
-    asym = constants(prec).exp_gamma * iterated_log(args.x, 1, prec)
-    ratio = product / asym
-    return {
-        "x": args.x,
-        "b": args.b,
-        "product": product,
-        "asymptotic_main_term": asym,
-        "ratio": ratio,
-        "deviation": ratio - 1,
-    }
 
 
 def _cmd_zeta(args, prec):
@@ -260,14 +228,14 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="omit the timestamp for byte-identical reruns",
     )
-    # only ssum, prop and lemma compute in high precision
+    # only ssum and prop compute in high precision
     precise = argparse.ArgumentParser(add_help=False, parents=[common])
     precise.add_argument(
         "--precision",
         type=int,
         default=None,
-        help="significant decimal digits (>= 50) for the combinatorial "
-        f"routines; hardware double if omitted or 0 (env {ENV_PRECISION})",
+        help=f"significant decimal digits (50 to {MAX_DIGITS}) for the "
+        "combinatorial routines; hardware double if omitted",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,13 +259,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--J", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_prop)
-
-    p = sub.add_parser(
-        "lemma", parents=[precise], help="Euler product vs e^gamma log x"
-    )
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser(
         "zeta", parents=[common], help="Dirichlet polynomial at one height"
@@ -345,7 +306,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        prec = _resolve_precision(args)
+        # double when --precision is omitted or the command lacks it
+        digits = getattr(args, "precision", None)
+        prec = DOUBLE if digits is None else Precision(digits)
         check_constants(prec)
         with warnings.catch_warnings(), prec.context():
             warnings.simplefilter("default")

@@ -86,6 +86,16 @@ def jet_product(factors: Iterable[Jet], *, prec: Precision = DOUBLE) -> Jet:
     return acc
 
 
+def refuse_double_order(order: int, prec: Precision) -> None:
+    """Double mode refuses an order above MAX_DOUBLE_ORDER: the derivative
+    ell! c_ell of such a jet needs an ell! beyond the double range."""
+    if prec.is_double and order > MAX_DOUBLE_ORDER:
+        raise ValueError(
+            f"ell={order} exceeds {MAX_DOUBLE_ORDER}: ell! leaves the double "
+            "range; use high precision (--precision)"
+        )
+
+
 def local_factor_jet(
     p: int, b: int, order: int, prec: Precision = DOUBLE
 ) -> Jet:
@@ -106,18 +116,13 @@ def local_factor_jet(
     is about 5e46, and a cutoff on p^(-v) alone drops terms far above the
     working precision.
 
-    Double mode refuses an order above MAX_DOUBLE_ORDER: the derivative
-    ell! c_ell of such a jet needs an ell! beyond the double range.
+    Double mode refuses an order above MAX_DOUBLE_ORDER.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if prec.is_double and order > MAX_DOUBLE_ORDER:
-        raise ValueError(
-            f"ell={order} exceeds {MAX_DOUBLE_ORDER}: ell! leaves the double "
-            "range; use high precision (--precision)"
-        )
+    refuse_double_order(order, prec)
     # The bound's log is order log(max(1, x)) - x at x = v log p, so no v
     # with x <= max(order, digits_floor) stops the sum.
     digits_floor = (prec.effective_digits + 9) * math.log(10)

@@ -2,12 +2,11 @@
 
 Every real-valued routine in the combinatorial core (primes, jets,
 resonator sums) accepts a :class:`Precision`.  The default is hardware
-double; a high-precision mode backed by mpmath with at least 50
-significant decimal digits can be selected per run (the ``--precision``
-flag or ``RZ_PRECISION`` env var of the ``ssum``, ``prop`` and ``lemma``
-commands).  High-precision mode also
-sidesteps double-range overflow for resonator cardinalities like
-``1000**1229``.
+double; a high-precision mode backed by mpmath with 50 to
+:data:`MAX_DIGITS` significant decimal digits can be selected per run
+(the ``--precision`` flag of the ``ssum`` and ``prop`` commands).
+High-precision mode also sidesteps double-range overflow for resonator
+cardinalities like ``1000**1229``.
 
 In double mode Euler's constant and ``e**gamma`` are the stored
 50-digit literals rounded to double.  In high-precision mode they are

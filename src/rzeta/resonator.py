@@ -45,11 +45,15 @@ from .jets import (
     jet_identity,
     jet_product,
     local_factor_jet,
+    refuse_double_order,
 )
 from .precision import DOUBLE, Precision, constants, real, rlog
-from .primes import iterated_log
+from .primes import MAX_SIEVE_LIMIT, iterated_log
 
 ENUMERATION_CAP = 10**6
+_SCALE_ADVICE = (
+    "use high precision (--precision) or the value normalized by |M|"
+)
 
 
 @functools.lru_cache(maxsize=64)
@@ -112,6 +116,22 @@ def _refuse_over_cap(primes: tuple[int, ...], b: int, cap: int) -> None:
         )
 
 
+def _refuse_by_pi_bound(spec: ResonatorSpec, log2_limit, limit: str, exc):
+    """Refuses before the sieve a |M| = b^pi(x) >= 2^log2_limit, by
+    pi(x) > x/ln x for x >= 17 (Rosser & Schoenfeld, Illinois J. Math.
+    1962).  As pi(x) > n, the exact test has a factor b >= 2 to spare.
+    The sieve refuses an x past its limit itself."""
+    x, b = spec.x, spec.b
+    if not 17 <= x <= MAX_SIEVE_LIMIT:
+        return
+    n = math.floor(x / math.log(x) * (1 - 1e-9))  # less a rounding margin
+    if n * math.log2(b) >= log2_limit:
+        raise exc(
+            f"|M| = b^pi(x) > {b}^{n} at --x {x:g} --b {b}, by pi(x) > "
+            f"x/ln x (Rosser & Schoenfeld 1962), exceeds {limit}"
+        )
+
+
 def _times(count: int, value, prec: Precision):
     """count * value, for an exact factor of |M| = b^pi(x) and a value
     normalized by it; refuses a count or a product beyond the double
@@ -124,8 +144,7 @@ def _times(count: int, value, prec: Precision):
         if not math.isfinite(product):
             raise OverflowError(
                 f"b^pi(x) = {count_text(count)} times the value normalized "
-                "by |M| exceeds the double range; use high precision "
-                "(--precision) or the value normalized by |M|"
+                f"by |M| exceeds the double range; {_SCALE_ADVICE}"
             )
         return product
     with prec.context():
@@ -220,6 +239,8 @@ def S_brute(
     """S(x; l) as the collapsed sum over enumerated M: sum w(k)(log k)^l / k."""
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
+    _refuse_by_pi_bound(spec, math.log2(cap), f"enumeration cap {cap}",
+                        ValueError)
     return _weighted_sum(spec.primes, spec.b, cap, prec, ell)
 
 
@@ -243,10 +264,12 @@ def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
     One fold over the ascending primes: each local jet is divided by b,
     and the running product is kept where a layer ends (layers are
     prefixes of the ascending primes).  The product of the last layer
-    does not depend on the others; c_0 of the i-th is L(i)/|M|.
+    does not depend on the others; c_0 of the i-th is L(i)/|M|.  At
+    b = 1 every normalized local factor is 1, and no jet is built.
     """
     if order < 0:
         raise ValueError(f"ell must be >= 0, got {order}")
+    refuse_double_order(order, prec)
     b = spec.b
     products = []
     with prec.context():
@@ -256,7 +279,7 @@ def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
             end = len(spec.layer_primes(i))
             # generators: one layer's jets are folded, not held, at once
             local = (local_factor_jet(p, b, order, prec)
-                     for p in spec.primes[done:end])
+                     for p in (spec.primes[done:end] if b > 1 else ()))
             normalized = (Jet(j.center, tuple(c / b for c in j.coeffs))
                           for j in local)
             acc = jet_product(itertools.chain([acc], normalized), prec=prec)
@@ -294,6 +317,9 @@ def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):
     In double mode the value overflows for specs where b^pi(x) exceeds
     the double range; use high precision or the normalized ratio then.
     """
+    if prec.is_double:  # float(b^pi(x)) overflows from 2^1024 on
+        _refuse_by_pi_bound(spec, 1024, f"the double range; {_SCALE_ADVICE}",
+                            OverflowError)
     s_norm = s_over_cardinality_jet(spec, ell, prec)
     return _times(resonator_cardinality(spec), s_norm, prec)
 

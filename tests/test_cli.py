@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import rzeta
+import rzeta.resonator
 import rzeta.zeta
 from rzeta.cli import comparison_rows, run
 from rzeta.resonator import yang_factor
@@ -95,12 +96,14 @@ def test_sieve_payload(capsys):
 
 
 def test_lemma_payload(capsys):
+    # the paper's Euler-product lemma is the J = 1, ell = 0 proposition
     code, out, _ = invoke(
-        capsys, "lemma", "--x", "1000", "--b", "100", "--no-timestamp"
+        capsys, "prop", "--x", "1000", "--b", "100", "--J", "1", "--ell", "0",
+        "--no-timestamp",
     )
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["deviation"]) < 0.1
+    assert abs(doc["ratio"] - 1) < 0.1
 
 
 def test_zeta_payload(capsys):
@@ -220,21 +223,21 @@ def test_ssum_cap_flag_is_gone(capsys):
     assert "--cap" in err
 
 
-def test_env_precision(capsys, monkeypatch):
-    monkeypatch.setenv("RZ_PRECISION", "50")
-    code, out, _ = invoke(
-        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "1", "--no-timestamp"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert isinstance(doc["S"], str)
-    # --precision 0 means double and overrides the variable
-    code, out, _ = invoke(
-        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "1",
-        "--precision", "0", "--no-timestamp",
-    )
-    assert code == 0
-    assert isinstance(json.loads(out)["S"], float)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ssum", "--x", "3", "--b", "2", "--ell", "1"),
+        ("prop", "--x", "10", "--b", "3", "--J", "1", "--ell", "0"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_precision_zero_is_refused(capsys, argv):
+    # double is the flag omitted; 0 is no alias for it
+    code, out, err = invoke(capsys, *argv, "--precision", "0",
+                            "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert "50 to 1000 digits" in err and "got 0" in err
 
 
 def test_console_entry_point():
@@ -434,8 +437,8 @@ def test_zero_sum_prints_positive_zero(capsys, argv, key):
 
 def test_lemma_fields_at_working_precision(capsys):
     code, out, err = invoke(
-        capsys, "lemma", "--x", "100", "--b", "5", "--precision", "60",
-        "--no-timestamp",
+        capsys, "prop", "--x", "100", "--b", "5", "--J", "1", "--ell", "0",
+        "--precision", "60", "--no-timestamp",
     )
     assert code == 0, err
     doc = json.loads(out)
@@ -448,13 +451,7 @@ def test_lemma_fields_at_working_precision(capsys):
                 for v in range(5)
             )
         asym = mpmath.exp(mpmath.euler) * mpmath.log(100)
-        ratio = product / asym
-        want = {
-            "product": product,
-            "asymptotic_main_term": asym,
-            "ratio": ratio,
-            "deviation": ratio - 1,
-        }
+        want = {"S_over_M": product, "target": asym, "ratio": product / asym}
         for key, ref in want.items():
             assert abs(mpmath.mpf(doc[key]) - ref) < mpmath.mpf(10) ** -58, key
 
@@ -552,9 +549,6 @@ def test_precision_limit_refuses_before_gamma(capsys, monkeypatch):
         m.setattr(cli, "check_constants", never)
         code, out, err = invoke(capsys, *argv, "--precision", "100000")
         assert code == 1 and out == "" and "1000 digits" in err
-        m.setenv("RZ_PRECISION", "100000")
-        code, out, err = invoke(capsys, *argv)
-        assert code == 1 and out == "" and "1000 digits" in err
     code, out, err = invoke(capsys, *argv, "--precision", "1000")
     assert code == 0, err
     assert json.loads(out)["S"].startswith("5.8333333333")
@@ -566,7 +560,8 @@ def test_precision_limit_refuses_before_gamma(capsys, monkeypatch):
         (("zeta", "--T", "1e12", "--t", "1.5e12", "--ell", "0"), "10000000"),
         (("scan", "--T", "1000", "--ell", "0", "--step", "1e-9"), "5000000"),
         (("sieve", "--limit", "10000000000"), "100000000"),
-        (("lemma", "--x", "1e9", "--b", "2"), "100000000"),
+        (("prop", "--x", "1e9", "--b", "2", "--J", "1", "--ell", "0"),
+         "100000000"),
     ],
     ids=lambda a: a[0] if isinstance(a, tuple) else None,
 )
@@ -576,21 +571,6 @@ def test_oversized_inputs_refused_before_allocating(capsys, argv, limit):
     assert code == 1
     assert out == ""
     assert limit in err
-
-
-@pytest.mark.parametrize("precision", [(), ("--precision", "50")],
-                         ids=["double", "50-digits"])
-def test_lemma_product_is_prop_s_over_m(capsys, precision):
-    # both read c_0 of the same Euler fold: the printed strings agree
-    spec = ("--x", "10000", "--b", "1000")
-    code, out, err = invoke(capsys, "lemma", *spec, *precision,
-                            "--no-timestamp")
-    assert code == 0, err
-    product = json.loads(out)["product"]
-    code, out, err = invoke(capsys, "prop", *spec, "--J", "1", "--ell", "0",
-                            *precision, "--no-timestamp")
-    assert code == 0, err
-    assert json.loads(out)["S_over_M"] == product
 
 
 @pytest.mark.parametrize(
@@ -742,6 +722,40 @@ def test_size_refusals_name_the_input_readably(capsys, argv, names):
         assert name in err
 
 
+def test_ssum_refuses_b_pi_x_before_the_sieve(capsys, monkeypatch):
+    # pi(x) > x/ln x puts 8^pi(1e7) past the double range and past the
+    # enumeration cap before any of the 664579 primes is sieved
+    def never(limit):
+        raise AssertionError("primes sieved for a refused spec")
+
+    monkeypatch.setattr(rzeta.resonator, "_primes_upto", never)
+    for method, limit in (("jet", "double range"), ("both", "cap 1000000")):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "ssum", "--x", "1e7", "--b", "8", "--ell", "1",
+            "--method", method, "--no-timestamp",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        for name in ("--x 1e+07", "--b 8", "8^620420", "x/ln x", limit):
+            assert name in err
+
+
+def test_resonate_at_b_1_folds_no_prime(capsys):
+    # M = {1} and every local factor is 1: the jets skip the 664579 primes
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "1e7", "--b", "1", "--T", "1e7",
+        "--ell", "9", "--no-timestamp",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+    assert json.loads(out) == {
+        "x": 1e7, "b": 1, "T": 1e7, "ell": 9, "ratio": 0.0,
+        "rhs_prediction": 0.0, "M1": 7.5e6, "M2_abs": 0.0,
+    }
+
+
 _DOUBLE_ONLY = [
     ("resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "1"),
     ("zeta", "--T", "1e4", "--t", "15000.5", "--ell", "2"),
@@ -752,35 +766,12 @@ _DOUBLE_ONLY = [
 
 
 @pytest.mark.parametrize("argv", _DOUBLE_ONLY, ids=lambda a: a[0])
-def test_double_only_commands_ignore_precision_env(capsys, monkeypatch,
-                                                   argv):
-    # a bad, an over-limit and a valid digit count all leave the output
-    # unchanged: these commands compute in double only
-    plain = invoke(capsys, *argv, "--no-timestamp")
-    assert plain[0] == 0, plain[2]
-    for value in ("abc", "2000", "1000"):
-        monkeypatch.setenv("RZ_PRECISION", value)
-        assert invoke(capsys, *argv, "--no-timestamp") == plain
-
-
-@pytest.mark.parametrize("argv", _DOUBLE_ONLY, ids=lambda a: a[0])
 def test_double_only_commands_refuse_precision_flag(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--precision", "50",
                             "--no-timestamp")
     assert code == 1
     assert out == ""
     assert "--precision" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "60.5"])
-def test_bad_precision_env_names_the_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("RZ_PRECISION", value)
-    code, out, err = invoke(
-        capsys, "ssum", "--x", "3", "--b", "2", "--ell", "0", "--no-timestamp"
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: RZ_PRECISION") and repr(value) in err
 
 
 # mpmath.zeta(mpc(1, t), derivative=ell) at 30 digits, rounded to 20;

@@ -5,6 +5,7 @@ as exact integers with ``Fraction`` arithmetic and evaluate the sums
 literally, with no multiplicity collapse and no Euler products.
 """
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,9 @@ import pytest
 
 import rzeta
 from rzeta.precision import DOUBLE, HIGH
+from rzeta.primes import sieve_primes
 from rzeta.resonator import (
+    ENUMERATION_CAP,
     ResonatorSpec,
     S_brute,
     S_jet,
@@ -34,6 +37,7 @@ from rzeta.resonator import (
     s_over_cardinality_jet,
     weight_w,
     yang_factor,
+    _refuse_by_pi_bound,
 )
 
 
@@ -144,7 +148,43 @@ def test_enumerate_cap_refusal():
         layer_sum_brute(ResonatorSpec(30, 4), 1, cap=1000)
     # |M| is named as a power: 1000^9592 has too many digits to print
     with pytest.raises(ValueError, match="1000\\^9592 exceeds enumeration cap"):
+        enumerate_M(ResonatorSpec(1e5, 1000))
+    # S_brute decides it from pi(x) > x/ln x, before the sieve
+    with pytest.raises(
+        ValueError, match="1000\\^8685 at --x 100000 --b 1000.* enumeration cap"
+    ):
         S_brute(ResonatorSpec(1e5, 1000), 0)
+
+
+@pytest.mark.parametrize("log2_limit", [math.log2(ENUMERATION_CAP), 1024],
+                         ids=["cap", "double"])
+def test_pi_bound_refuses_only_what_the_exact_test_refuses(log2_limit):
+    # at each x, the smallest b the bound refuses already has b^pi(x)
+    # past the limit: past the cap, or a count float() cannot hold
+    primes = sieve_primes(5000).primes
+
+    def refused(x, b):
+        try:
+            _refuse_by_pi_bound(ResonatorSpec(x, b), log2_limit, "", ValueError)
+        except ValueError:
+            return True
+        return False
+
+    for x in range(17, 5001, 31):
+        # not refused at b = 1; refused at 2^(limit + 1), where n >= 1
+        low, high = 1, 2 ** (math.ceil(log2_limit) + 1)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if refused(x, mid) else (mid, high)
+        count = high ** bisect.bisect_right(primes, x)
+        if log2_limit == 1024:
+            with pytest.raises(OverflowError):
+                float(count)
+        else:
+            assert count > ENUMERATION_CAP
+    # below 17 the bound is not known to hold, and past the sieve's limit
+    # the sieve refuses x itself
+    assert not refused(16.9, 10**9) and not refused(1.1e8, 2)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
