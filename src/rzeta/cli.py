@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 validation error or an unwritable output,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -23,11 +22,15 @@ import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 
-import mpmath
-
 from .engine import certificate, scan_max, scan_samples
 from .errors import AccuracyError
-from .precision import DOUBLE, MAX_DIGITS, Precision, check_constants
+from .precision import (
+    DOUBLE,
+    MAX_DIGITS,
+    Precision,
+    check_constants,
+    real_text,
+)
 from .primes import sieve_primes
 from .resonator import (
     ResonatorSpec,
@@ -66,6 +69,8 @@ def _render(payload, args, prec: Precision) -> str:
     """A subcommand's payload as text: a dict as JSON, a (header, rows)
     pair as CSV."""
     if isinstance(payload, tuple):
+        import csv
+
         header, rows = payload
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -75,14 +80,9 @@ def _render(payload, args, prec: Precision) -> str:
     if not args.no_timestamp:
         now = datetime.now(timezone.utc).isoformat()
         payload = {**payload, "timestamp": now}
-
-    def mpf_text(value):  # the one non-JSON type a payload holds
-        if isinstance(value, mpmath.mpf):
-            return mpmath.nstr(value, prec.effective_digits)
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
+    # a high-precision real is the one non-JSON type a payload holds
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                      default=mpf_text) + "\n"
+                      default=lambda value: real_text(value, prec)) + "\n"
 
 
 # ------------------------------------------------------------ subcommands --

@@ -237,8 +237,11 @@ def _peak_exceeds_sqrt(spec: ResonatorSpec, T: float) -> bool:
     A double T is below 2^1024, so a max M of more than 512 bits exceeds
     sqrt(T) for any finite T; below that max M is cheap to build.
     """
-    # floor(log2 p) per prime: a lower bound on log2 max M
-    if (spec.b - 1) * sum(p.bit_length() - 1 for p in spec.primes) > 512:
+    # floor(log2 p) per prime: a lower bound on log2 max M; at b = 1,
+    # max M = 1 and no prime is read
+    if spec.b > 1 and (
+        (spec.b - 1) * sum(p.bit_length() - 1 for p in spec.primes) > 512
+    ):
         return T < math.inf
     peak = max_element(spec)
     return peak * peak > T

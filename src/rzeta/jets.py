@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import mpmath
-
-from .precision import DOUBLE, Precision, real, rlog
+from .precision import DOUBLE, Precision, rdot, real, rlog, rsum
 
 # 170! is the largest factorial below the double range.
 MAX_DOUBLE_ORDER = 170
@@ -46,22 +44,16 @@ class Jet:
         return len(self.coeffs) - 1
 
 
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product; centers and orders must match."""
+def jet_mul(a: Jet, b: Jet, prec: Precision = DOUBLE) -> Jet:
+    """Truncated Cauchy product at the working precision ``prec``; centers
+    and orders must match."""
     if a.center != b.center or a.order != b.order:
         raise ValueError(
             f"jet shape mismatch: center/order ({a.center},{a.order}) vs "
             f"({b.center},{b.order})"
         )
-    L = a.order
     ca, cb = a.coeffs, b.coeffs
-    if isinstance(ca[0], float) and isinstance(cb[0], float):
-        out = tuple(
-            math.fsum(ca[i] * cb[k - i] for i in range(k + 1))
-            for k in range(L + 1)
-        )
-    else:
-        out = tuple(mpmath.fdot(ca[: k + 1], cb[k::-1]) for k in range(L + 1))
+    out = tuple(rdot(ca[: k + 1], cb[k::-1], prec) for k in range(a.order + 1))
     return Jet(a.center, out)
 
 
@@ -82,7 +74,7 @@ def jet_product(factors: Iterable[Jet], *, prec: Precision = DOUBLE) -> Jet:
         if acc is None:
             raise ValueError("a jet product needs at least one factor")
         for f in rest:
-            acc = jet_mul(acc, f)
+            acc = jet_mul(acc, f, prec)
     return acc
 
 
@@ -136,14 +128,13 @@ def local_factor_jet(
         for v in range(min(b, stop)):
             terms.append((b - v) * pv)
             pv = pv / p
-        acc = math.fsum if prec.is_double else mpmath.fsum
-        coeffs = [acc(terms)]
+        coeffs = [rsum(terms, prec)]
         if order > 0:
             logp = rlog(p, prec)
             slopes = [-v * logp for v in range(len(terms))]
             for k in range(1, order + 1):
                 terms = [t * s / k for t, s in zip(terms, slopes)]
-                coeffs.append(acc(terms))
+                coeffs.append(rsum(terms, prec))
         return Jet(real(1, prec), tuple(coeffs))
 
 

@@ -13,6 +13,9 @@ In double mode Euler's constant and ``e**gamma`` are the stored
 mpmath's ``euler`` and its exponential at the working precision, so
 every accepted digit count gets that many correct digits;
 :func:`check_constants` cross-checks either against the literals.
+
+This is the one module that imports mpmath, and only inside its
+high-precision branches: a double-precision run never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 from .errors import AccuracyError
 
@@ -66,6 +67,8 @@ class Precision:
         """
         if self.is_double:
             return contextlib.nullcontext()
+        import mpmath
+
         return mpmath.workdps(self.digits)
 
 
@@ -83,6 +86,8 @@ def constants(prec: Precision = DOUBLE) -> Constants:
     """Euler's constant and e**gamma at the requested precision."""
     if prec.is_double:
         return Constants(EULER_GAMMA, EXP_GAMMA)
+    import mpmath
+
     with mpmath.workdps(prec.digits):
         gamma = +mpmath.euler
         return Constants(gamma, mpmath.exp(gamma))
@@ -100,6 +105,8 @@ def check_constants(prec: Precision = DOUBLE) -> None:
         rel = abs(math.exp(c.euler_gamma) - c.exp_gamma) / c.exp_gamma
         tol = 1e-15
     else:
+        import mpmath
+
         with mpmath.workdps(prec.digits):
             rel = max(
                 abs(c.euler_gamma / mpmath.mpf(EULER_GAMMA_STR) - 1),
@@ -117,6 +124,8 @@ def real(x, prec: Precision = DOUBLE):
     """Coerce x (int, float, str) to the working real type."""
     if prec.is_double:
         return float(x)
+    import mpmath
+
     with mpmath.workdps(prec.digits):
         return mpmath.mpf(x)
 
@@ -124,5 +133,39 @@ def real(x, prec: Precision = DOUBLE):
 def rlog(x, prec: Precision = DOUBLE):
     if prec.is_double:
         return math.log(x)
+    import mpmath
+
     with mpmath.workdps(prec.digits):
         return mpmath.log(x)
+
+
+def rsum(terms, prec: Precision = DOUBLE):
+    """The sum of ``terms``, rounded once: math.fsum or mpmath.fsum."""
+    if prec.is_double:
+        return math.fsum(terms)
+    import mpmath
+
+    with mpmath.workdps(prec.digits):
+        return mpmath.fsum(terms)
+
+
+def rdot(a, b, prec: Precision = DOUBLE):
+    """sum_i a_i b_i: in double the fsum of the rounded products, in high
+    precision mpmath.fdot, whose products are exact."""
+    if prec.is_double:
+        return math.fsum(x * y for x, y in zip(a, b))
+    import mpmath
+
+    with mpmath.workdps(prec.digits):
+        return mpmath.fdot(a, b)
+
+
+def real_text(value, prec: Precision) -> str:
+    """A high-precision real as a string of its working digits, the form
+    a JSON payload carries it in; any other value is refused."""
+    if not prec.is_double:
+        import mpmath
+
+        if isinstance(value, mpmath.mpf):
+            return mpmath.nstr(value, prec.digits)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -102,6 +102,8 @@ def resonator_cardinality(spec: ResonatorSpec) -> int:
 
 def max_element(spec: ResonatorSpec) -> int:
     """The largest element of M (every member divides it), exact."""
+    if spec.b == 1:  # M = {1}
+        return 1
     v = 1
     for p in spec.primes:
         v *= p ** (spec.b - 1)
@@ -157,6 +159,8 @@ def enumerate_M(spec: ResonatorSpec, cap: int = ENUMERATION_CAP) -> list[int]:
     b^pi(x) exceeds ``cap``."""
     _refuse_over_cap(spec.primes, spec.b, cap)
     elements = [1]
+    if spec.b == 1:  # M = {1}
+        return elements
     for p in spec.primes:
         elements = [m * p**e for m in elements for e in range(spec.b)]
     return elements

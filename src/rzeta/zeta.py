@@ -28,10 +28,8 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .errors import AccuracyError, count_text
@@ -186,8 +184,19 @@ def _em_cut(height: float, em_order: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _bernoulli_table(n: int) -> tuple:
-    """Exact Bernoulli numbers B_0..B_n as fractions, computed once per n."""
-    return tuple(Fraction(*mpmath.bernfrac(k)) for k in range(n + 1))
+    """Exact Bernoulli numbers B_0..B_n (B_1 = -1/2), computed once per n,
+    as (numerator, denominator) pairs in lowest terms with a positive
+    denominator, the form of mpmath.bernfrac; from the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
+    table = [(1, 1)]
+    for m in range(1, n + 1):
+        num, den = 0, 1  # -sum_{j<m} C(m+1, j) B_j = (m+1) B_m
+        for j, (p, q) in enumerate(table):
+            num, den = num * q - math.comb(m + 1, j) * p * den, den * q
+        den *= m + 1
+        g = math.gcd(num, den)
+        table.append((num // g, den // g))
+    return tuple(table)
 
 
 def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
@@ -202,12 +211,14 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
     rising = s.copy()  # (s)_1 = s
     nshift = npow / N  # N^(-s-1)
     for r in range(1, em_order + 1):
-        coef = float(bern[2 * r] / math.factorial(2 * r))
+        num, den = bern[2 * r]
+        coef = num / (den * math.factorial(2 * r))  # correctly rounded
         tail = tail + coef * rising * nshift
         # extend rising factorial (s)_{2r-1} -> (s)_{2r+1}, N^(-s-2r+1) shift
         rising = rising * (s + 2 * r - 1) * (s + 2 * r)
         nshift = nshift / (N * N)
-    next_coef = float(abs(bern[-1]) / math.factorial(2 * em_order + 2))
+    num, den = bern[-1]
+    next_coef = abs(num) / (den * math.factorial(2 * em_order + 2))
     sigma = s.real
     ratio = np.abs(s + 2 * em_order + 1) / (sigma + 2 * em_order + 1)
     err = next_coef * np.abs(rising) * np.abs(nshift) * ratio

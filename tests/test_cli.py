@@ -417,6 +417,29 @@ def test_resonate_with_vanishing_moment(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_resonate_at_b_1_skips_the_per_prime_loops(capsys, monkeypatch):
+    # M = {1} at b = 1: past the sieve of the 664579 primes below 1e7,
+    # nothing runs over the primes
+    class NoIteration(tuple):
+        def __iter__(self):
+            raise AssertionError("a loop over the primes at b = 1")
+
+    sieved = rzeta.resonator._primes_upto
+    monkeypatch.setattr(rzeta.resonator, "_primes_upto",
+                        lambda limit: NoIteration(sieved(limit)))
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "resonate", "--x", "1e7", "--b", "1", "--T", "1e7",
+        "--ell", "9", "--no-timestamp",
+    )
+    assert code == 0, err
+    assert time.perf_counter() - start < 2.0
+    assert json.loads(out) == {
+        "M1": 7500000.0, "M2_abs": 0.0, "T": 1e7, "b": 1, "ell": 9,
+        "ratio": 0.0, "rhs_prediction": 0.0, "x": 1e7,
+    }
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -467,6 +490,64 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Runs each argv in one fresh interpreter, in order, and prints per argv
+# the exit code, which of mpmath, fractions and csv are then loaded, and
+# the output.
+_COLD_START = """
+import contextlib, io, json, sys
+from rzeta import cli
+lazy = {"mpmath", "fractions", "csv"}
+report = [["import", 0, sorted(lazy & set(sys.modules)), ""]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv.split() + ["--no-timestamp"])
+    report.append([argv, code, sorted(lazy & set(sys.modules)), out.getvalue()])
+print(json.dumps(report))
+"""
+
+# recorded payload of the high-precision command below
+_PROP_50 = {
+    "J": 2,
+    "S_over_M": "2.0737559442963443657204818442635701113607572296389",
+    "b": 3,
+    "ell": 1,
+    "error_budget": "2.7931995577783111771399910409047797261821687754585",
+    "partition_bound_over_M":
+        "0.54154550434798483866472020236941634085900735867732",
+    "ratio": "0.4392124923062033743070497677321306766338441380208",
+    "target": "4.7215322437837110989419982178756612847657971271767",
+    "x": 10.0,
+}
+
+
+def test_double_precision_commands_leave_mpmath_unloaded():
+    # mpmath, fractions and csv load only where used: mpmath for
+    # --precision, csv for --csv
+    argvs = [
+        "resonate --x 3 --b 3 --T 2e4 --ell 1",
+        "zeta --T 1e4 --t 1.5e4 --ell 1 --oracle",
+        "sieve --limit 10",
+        "scan --T 2e4 --ell 1 --step 0.068 --csv",
+        "prop --x 10 --b 3 --J 2 --ell 1 --precision 50",
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [(argv, code) for argv, code, _, _ in report] == [
+        (argv, 0) for argv in ["import"] + argvs
+    ]
+    loaded = [modules for _, _, modules, _ in report]
+    assert loaded == [[], [], [], [], ["csv"], ["csv", "mpmath"]]
+    assert json.loads(report[-1][3]) == _PROP_50
 
 
 def _match(got, want, path="payload"):

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 
 import rzeta
+from rzeta.errors import count_text
 from rzeta.precision import DOUBLE, HIGH
 from rzeta.primes import sieve_primes
 from rzeta.resonator import (
@@ -465,3 +466,17 @@ def test_euler_fold_holds_no_layer_of_jets():
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6, peak
+
+
+def test_count_text_past_4300_digits():
+    # str() refuses an int of more than 4300 digits; 8^78498 has 70891
+    assert count_text(8**78498) == "a 70891-digit integer"
+    assert count_text(-(10**5000)) == "a 5001-digit integer"
+    assert count_text(10**400 - 1) == "a 400-digit integer"
+
+
+def test_layer_sum_past_the_double_range_names_the_count():
+    # |M| = 8^78498 at x = 1e6: the refusal reports its digits
+    with pytest.raises(OverflowError, match="a 70891-digit integer") as info:
+        layer_sum(ResonatorSpec(1e6, 8), 1)
+    assert "exceeds the double range" in str(info.value)
