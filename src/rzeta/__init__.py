@@ -1,110 +1,3 @@
 """rzeta: resonance-method lower-bound certificates for large values of
 zeta derivatives on the 1-line, with every computational object checked
 against an independent route at desk scale."""
-
-from .engine import (
-    Certificate,
-    ScanReport,
-    TheoremParameters,
-    bump_decay_constant,
-    bump_phi,
-    bump_phi_hat,
-    certificate,
-    moment_M1,
-    moment_M2,
-    scan_max,
-    scan_samples,
-    theorem_parameters,
-)
-from .errors import AccuracyError
-from .jets import Jet, derivative_from_jet, jet_product, local_factor_jet
-from .precision import DOUBLE, HIGH, Constants, Precision, constants
-from .primes import (
-    PrimeTable,
-    iterated_log,
-    mertens_product,
-    prime_count,
-    sieve_primes,
-)
-from .resonator import (
-    PropositionReport,
-    ResonatorSpec,
-    S_brute,
-    S_jet,
-    S_nested,
-    enumerate_M,
-    layer_product,
-    layer_sum,
-    layer_sum_brute,
-    max_element,
-    partition_lower_bound,
-    proposition_report,
-    resonator_cardinality,
-    riemann_sum_bracket,
-    s_over_cardinality_jet,
-    weight_w,
-    yang_factor,
-)
-from .zeta import (
-    EvalPoint,
-    LinearGenerator,
-    approx_error_probe,
-    dirichlet_poly,
-    zeta_deriv_cauchy,
-    zeta_em,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyError",
-    "Certificate",
-    "Constants",
-    "DOUBLE",
-    "EvalPoint",
-    "HIGH",
-    "Jet",
-    "LinearGenerator",
-    "Precision",
-    "PrimeTable",
-    "PropositionReport",
-    "ResonatorSpec",
-    "ScanReport",
-    "S_brute",
-    "S_jet",
-    "S_nested",
-    "TheoremParameters",
-    "approx_error_probe",
-    "bump_decay_constant",
-    "bump_phi",
-    "bump_phi_hat",
-    "certificate",
-    "constants",
-    "derivative_from_jet",
-    "dirichlet_poly",
-    "enumerate_M",
-    "iterated_log",
-    "jet_product",
-    "layer_product",
-    "layer_sum",
-    "layer_sum_brute",
-    "local_factor_jet",
-    "max_element",
-    "mertens_product",
-    "moment_M1",
-    "moment_M2",
-    "partition_lower_bound",
-    "prime_count",
-    "proposition_report",
-    "resonator_cardinality",
-    "riemann_sum_bracket",
-    "s_over_cardinality_jet",
-    "scan_max",
-    "scan_samples",
-    "sieve_primes",
-    "theorem_parameters",
-    "weight_w",
-    "yang_factor",
-    "zeta_deriv_cauchy",
-    "zeta_em",
-]

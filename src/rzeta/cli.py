@@ -124,7 +124,8 @@ def _cmd_prop(args, prec):
 
 def _cmd_zeta(args, prec):
     point = EvalPoint(args.t, args.ell, args.T)
-    value = dirichlet_poly(point, check_range=True)
+    point.warn_if_off_range()
+    value = dirichlet_poly(point)
     doc = {
         "T": args.T,
         "t": args.t,

@@ -261,11 +261,9 @@ def _warn_if_peak_large(spec: ResonatorSpec, T: float, stacklevel: int):
 # ---------------------------------------------------------------- moments --
 
 def _resonator(spec: ResonatorSpec, T: float):
-    """Elements of M as (log m, m), ascending; warns when max M exceeds
-    sqrt(T)."""
+    """Elements of M as (log m, m), ascending."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    _warn_if_peak_large(spec, T, stacklevel=5)
     elements = enumerate_M(spec, cap=ENGINE_ELEMENT_CAP)
     return sorted((math.log(m), m) for m in elements)
 
@@ -275,9 +273,10 @@ def _resonator(spec: ResonatorSpec, T: float):
 _LOG_SLACK = 1e-9
 
 
-def _window(spec: ResonatorSpec, T: float, terms: int):
-    """(n, phihat(xi)) for the (n, m, m') with m, m' in M, n <= terms and
-    |xi| < PHI_BAND, xi = T log(n m'/m): integral P(t) |R(t)|^2 phi(t/T)
+def _window(elements, T: float, terms: int):
+    """(n, phihat(xi)) for the (n, m, m') with m, m' in M (``elements``,
+    as :func:`_resonator` lists them), n <= terms and |xi| < PHI_BAND,
+    xi = T log(n m'/m): integral P(t) |R(t)|^2 phi(t/T)
     dt for P(t) = sum c_n n^(-it) is T times the sum of c_n phihat(xi)
     over them, since integral (m/(n m'))^(it) phi(t/T) dt = T phihat(xi).
     xi is T log1p((n m' - m)/m), the quotient correctly rounded from
@@ -287,7 +286,6 @@ def _window(spec: ResonatorSpec, T: float, terms: int):
     MAX_WINDOW_CANDIDATES candidate (n, m, m'), as when max M far
     exceeds sqrt(T).
     """
-    elements = _resonator(spec, T)
     logs = [log_m for log_m, _ in elements]
     if terms == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
@@ -339,8 +337,10 @@ def _sum_M2(T: float, ns, values, ell: int) -> complex:
 def moment_M1(spec: ResonatorSpec, T: float) -> float:
     """integral |R(t)|^2 phi(t/T) dt = T * sum phihat(T log(m'/m)) over the
     pairs m, m' in M with |T log(m'/m)| < PHI_BAND (the window sum with
-    P = 1, its n = 1 slice)."""
-    return _sum_M1(T, *_window(spec, T, 1))
+    P = 1, its n = 1 slice).  Warns when max M exceeds sqrt(T)."""
+    elements = _resonator(spec, T)
+    _warn_if_peak_large(spec, T, stacklevel=3)
+    return _sum_M1(T, *_window(elements, T, 1))
 
 
 def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
@@ -348,10 +348,13 @@ def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
     standing in for (-1)^l zeta^(l)(1+it): its finite spectrum makes the
     moment the window sum T * sum c_n phihat(T log(n m'/m)) over
     |xi| < PHI_BAND, with c_n read only at the n in the window.  0 for
-    T < 1, where P is empty."""
+    T < 1, where P is empty.  Warns when max M exceeds sqrt(T)."""
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
-    return _sum_M2(T, *_window(spec, T, dirichlet_terms(T, ell)), ell)
+    terms = dirichlet_terms(T, ell)
+    elements = _resonator(spec, T)
+    _warn_if_peak_large(spec, T, stacklevel=3)
+    return _sum_M2(T, *_window(elements, T, terms), ell)
 
 
 # ------------------------------------------------------------ certificate --
@@ -365,8 +368,15 @@ class Certificate:
 
 
 def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
-    """|M2|/M1 (a rigorous lower bound for the windowed sup of |P|) next
-    to its diagonal prediction S(x; l)/|M|.  Requires max element <= sqrt(T).
+    """|M2|/M1 next to its diagonal prediction S(x; l)/|M|.  Requires max
+    element <= sqrt(T).
+
+    The ratio of the exact moments is a lower bound for max |P| on
+    [T, 2T], where phi >= 0 is supported.  The computed ratio carries no
+    proof of that: the moments drop every term with |xi| >= PHI_BAND on
+    a sampled |phihat| < 1e-15, and phihat is checked only against its
+    own even-node half.  A certified interval around the ratio is ROADMAP
+    item 1.
 
     Both moments come from one window pass (:func:`moment_M2`'s terms,
     M1 their n = 1 slice as in :func:`moment_M1`) with one phihat call;
@@ -385,7 +395,7 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     # T's term count is refused first: within it, S/|M| fits a double
     terms = dirichlet_terms(T, ell)
     rhs = float(s_over_cardinality_jet(spec, ell))
-    ns, values = _window(spec, T, terms)
+    ns, values = _window(_resonator(spec, T), T, terms)
     m1 = _sum_M1(T, ns, values)
     m2 = _sum_M2(T, ns, values, ell)
     return Certificate(

@@ -1,8 +1,8 @@
-"""Truncated Taylor ("jet") arithmetic at a real center.
+"""Truncated Taylor ("jet") arithmetic at s = 1.
 
-A jet stores Taylor-normalized coefficients c_k = f^(k)(center)/k!, so
-products are truncated Cauchy convolutions and magnitudes stay tame even
-when raw derivatives grow like (log x)^l * l!.  The one consumer that
+A jet is the tuple of Taylor-normalized coefficients c_k = f^(k)(1)/k!,
+so products are truncated Cauchy convolutions and magnitudes stay tame
+even when raw derivatives grow like (log x)^l * l!.  The one consumer that
 matters is the Euler product
 
     F(s) = prod_{p<=x} sum_{v=0}^{b-1} (b-v) * p^(-v*s)
@@ -19,7 +19,6 @@ division here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .precision import DOUBLE, Precision, rdot, real, rlog, rsum
@@ -28,43 +27,22 @@ from .precision import DOUBLE, Precision, rdot, real, rlog, rsum
 MAX_DOUBLE_ORDER = 170
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Taylor-normalized coefficients of an analytic function at a center."""
-
-    center: object
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("a jet needs at least the order-0 coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+def jet_mul(a: tuple, b: tuple, prec: Precision = DOUBLE) -> tuple:
+    """Truncated Cauchy product at the working precision ``prec``; orders
+    must match."""
+    if len(a) != len(b):
+        raise ValueError(f"jet order mismatch: {len(a) - 1} vs {len(b) - 1}")
+    return tuple(rdot(a[: k + 1], b[k::-1], prec) for k in range(len(a)))
 
 
-def jet_mul(a: Jet, b: Jet, prec: Precision = DOUBLE) -> Jet:
-    """Truncated Cauchy product at the working precision ``prec``; centers
-    and orders must match."""
-    if a.center != b.center or a.order != b.order:
-        raise ValueError(
-            f"jet shape mismatch: center/order ({a.center},{a.order}) vs "
-            f"({b.center},{b.order})"
-        )
-    ca, cb = a.coeffs, b.coeffs
-    out = tuple(rdot(ca[: k + 1], cb[k::-1], prec) for k in range(a.order + 1))
-    return Jet(a.center, out)
-
-
-def jet_identity(center, order: int, prec: Precision = DOUBLE) -> Jet:
+def jet_identity(order: int, prec: Precision = DOUBLE) -> tuple:
     """The multiplicative identity jet (constant function 1)."""
-    one = real(1, prec)
-    zero = real(0, prec)
-    return Jet(center, (one,) + (zero,) * order)
+    return (real(1, prec),) + (real(0, prec),) * order
 
 
-def jet_product(factors: Iterable[Jet], *, prec: Precision = DOUBLE) -> Jet:
+def jet_product(
+    factors: Iterable[tuple], *, prec: Precision = DOUBLE
+) -> tuple:
     """Fold a non-empty iterable of jets into their product, in the given
     order, at the working precision ``prec``; a generator is read as it
     is folded, so its jets need not all be held at once."""
@@ -90,7 +68,7 @@ def refuse_double_order(order: int, prec: Precision) -> None:
 
 def local_factor_jet(
     p: int, b: int, order: int, prec: Precision = DOUBLE
-) -> Jet:
+) -> tuple:
     """Jet at s=1 of the local Euler factor sum_{v=0}^{b-1} (b-v) p^(-v*s).
 
     Each term p^(-v*s) expands with derivatives (-v log p)^k p^(-v), so
@@ -135,15 +113,15 @@ def local_factor_jet(
             for k in range(1, order + 1):
                 terms = [t * s / k for t, s in zip(terms, slopes)]
                 coeffs.append(rsum(terms, prec))
-        return Jet(real(1, prec), tuple(coeffs))
+        return tuple(coeffs)
 
 
-def derivative_from_jet(jet: Jet, ell: int):
-    """Recover f^(ell)(center) = ell! * c_ell."""
+def derivative_from_jet(jet: tuple, ell: int):
+    """Recover f^(ell)(1) = ell! * c_ell."""
     if ell < 0:
         raise ValueError(f"derivative order must be >= 0, got {ell}")
-    if ell > jet.order:
+    if ell >= len(jet):
         raise ValueError(
-            f"derivative order {ell} exceeds jet order {jet.order}"
+            f"derivative order {ell} exceeds jet order {len(jet) - 1}"
         )
-    return math.factorial(ell) * jet.coeffs[ell]
+    return math.factorial(ell) * jet[ell]

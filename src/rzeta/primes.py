@@ -78,7 +78,7 @@ def mertens_product(
         return MertensProduct(value, value / asymptotic)
 
 
-def iterated_log(T: float, j: int, prec: Precision = DOUBLE):
+def iterated_log(T: float, j: int):
     """log applied j times; every intermediate stage must stay positive."""
     if j < 1:
         raise ValueError(f"iteration count must be >= 1, got {j}")
@@ -88,7 +88,7 @@ def iterated_log(T: float, j: int, prec: Precision = DOUBLE):
             raise ValueError(
                 f"iterated log undefined: stage {stage} input {v} <= 0"
             )
-        v = rlog(v, prec)
+        v = rlog(v)
     if v <= 0:
         raise ValueError(f"iterated log is non-positive after {j} stages: {v}")
     return v

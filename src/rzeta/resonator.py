@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import count_text
 from .jets import (
-    Jet,
     derivative_from_jet,
     jet_identity,
     jet_product,
@@ -277,22 +276,21 @@ def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
     b = spec.b
     products = []
     with prec.context():
-        acc = jet_identity(real(1, prec), order, prec)
+        acc = jet_identity(order, prec)
         done = 0
         for i in layers:
             end = len(spec.layer_primes(i))
             # generators: one layer's jets are folded, not held, at once
             local = (local_factor_jet(p, b, order, prec)
                      for p in (spec.primes[done:end] if b > 1 else ()))
-            normalized = (Jet(j.center, tuple(c / b for c in j.coeffs))
-                          for j in local)
+            normalized = (tuple(c / b for c in j) for j in local)
             acc = jet_product(itertools.chain([acc], normalized), prec=prec)
             products.append(acc)
             done = end
     return products
 
 
-def _s_over(product: Jet, ell: int, prec: Precision):
+def _s_over(product: tuple, ell: int, prec: Precision):
     """(-1)^l F^(l)(1) from the jet of the normalized product F; refuses
     a value beyond the double range in double mode."""
     # + 0 turns the -0.0 of an odd ell at b = 1 into 0.0
@@ -332,7 +330,7 @@ def layer_product(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
     """prod_{p <= x^(i/J)} sum_{v=0}^{b-1} (1 - v/b) p^(-v): the layer sum
     normalized by |M|, c_0 of the Euler fold.  Equals 1 at i=0."""
     (product,) = _euler_fold(spec, 0, prec, [i])
-    return product.coeffs[0]
+    return product[0]
 
 
 def layer_sum(spec: ResonatorSpec, i: int, prec: Precision = DOUBLE):
@@ -362,7 +360,7 @@ def layer_sum_brute(
 def _partition_over(products, spec: ResonatorSpec, ell: int, prec):
     """The partition bound over |M| from the fold's products at the layer
     boundaries 0..J, whose c_0 are the L(i)/|M|."""
-    layers = [product.coeffs[0] for product in products]
+    layers = [product[0] for product in products]
     logx = rlog(spec.x, prec)
     J = spec.J
     total = real(0, prec)

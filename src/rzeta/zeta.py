@@ -90,13 +90,13 @@ class EvalPoint:
                     f"ell={self.ell} exceeds the approximation range "
                     f"(log T)/(log_2 T) = {ell_max:.2f}",
                     RangeAdvisory,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
         if not T <= abs(self.t) <= 2 * T and self.t != 0:
             warnings.warn(
                 f"t={self.t} outside [T, 2T] = [{T}, {2 * T}]",
                 RangeAdvisory,
-                stacklevel=3,
+                stacklevel=2,
             )
 
 
@@ -148,10 +148,8 @@ def dirichlet_coefficients(cutoff: float, ell: int):
     return logn, coeffs
 
 
-def dirichlet_poly(point: EvalPoint, check_range: bool = False) -> complex:
+def dirichlet_poly(point: EvalPoint) -> complex:
     """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), ascending n, fsum."""
-    if check_range:
-        point.warn_if_off_range()
     logn, w = dirichlet_coefficients(point.cutoff, point.ell)
     # past 2^53 rad the spacing of doubles is 2 rad: no digit of the
     # phase t log n survives

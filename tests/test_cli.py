@@ -785,11 +785,16 @@ def test_brute_sum_at_ell_beyond_double_in_high_precision(capsys):
          ("t = 1e+308", "N = 10000", "2^53")),
         (("zeta", "--T", "1e4", "--t", "1e17", "--ell", "8"),
          ("t = 1e+17", "N = 10000", "2^53")),
+        (("ssum", "--x", "50", "--b", "2", "--ell", "250", "--method",
+          "brute"),
+         ("overflow a double at ell=250", "--precision")),
+        (("resonate", "--x", "3", "--b", "3", "--T", "2e4", "--ell", "-1"),
+         ("ell must be >= 0, got -1",)),
     ],
     ids=["oracle-height", "resonate-T", "zeta-T", "scan-T", "ssum-x",
          "sieve-limit", "scan-T-below-2", "scan-T-below-e-e",
          "scan-step-tiny", "ssum-S-overflow", "zeta-t-phase",
-         "zeta-t-phase-1e17"],
+         "zeta-t-phase-1e17", "ssum-brute-overflow", "resonate-ell"],
 )
 def test_size_refusals_name_the_input_readably(capsys, argv, names):
     # the oracle height lies outside [T, 2T]: its RangeAdvisory is kept

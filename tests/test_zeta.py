@@ -85,7 +85,7 @@ def test_evalpoint_advisory_warning():
     from rzeta.zeta import RangeAdvisory
 
     with pytest.warns(RangeAdvisory):
-        dirichlet_poly(EvalPoint(5.0, 0, 1000.0), check_range=True)
+        EvalPoint(5.0, 0, 1000.0).warn_if_off_range()
 
 
 def test_zeta_em_classics():
