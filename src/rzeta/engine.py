@@ -382,6 +382,8 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
     M1 their n = 1 slice as in :func:`moment_M1`) with one phihat call;
     no quadrature runs and P's coefficient array is never built.
     """
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T}")
     if _peak_exceeds_sqrt(spec, T):
         raise ValueError(
             f"max resonator element prod_(p <= {spec.x:g}) p^{spec.b - 1} "

@@ -18,6 +18,7 @@ reference the tests compare both routes against; no caller routes to it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,11 +45,25 @@ def next_smooth(n: int) -> int:
     return min(p << ((n - 1) // p).bit_length() for p in odd)
 
 
-def exp_sum_at(omega: np.ndarray, coeffs: np.ndarray, t: float) -> complex:
-    """Direct compensated evaluation at a single t."""
-    phase = -t * np.asarray(omega, dtype=np.float64)
-    vals = np.asarray(coeffs) * np.exp(1j * phase)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+def exp_sum_at(blocks, t: float) -> complex:
+    """S(t) at a single t, each component the exactly rounded math.fsum
+    of its terms.  ``blocks()`` returns an iterable of (omega, c) array
+    pairs that together hold the sources.  It is called once per
+    component, so a caller that yields its blocks lazily holds one block
+    at a time, and forms each block's terms twice."""
+
+    def parts(component):
+        for omega, coeffs in blocks():
+            phase = -t * np.asarray(omega, dtype=np.float64)
+            vals = np.asarray(coeffs) * np.exp(1j * phase)
+            # fsum reads a list of floats about twice as fast as an array
+            yield getattr(vals, component).tolist()
+
+    real, imag = (
+        math.fsum(itertools.chain.from_iterable(parts(component)))
+        for component in ("real", "imag")
+    )
+    return complex(real, imag)
 
 
 def _direct_grid(omega, coeffs, t0, dt, count):

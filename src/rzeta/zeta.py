@@ -5,7 +5,9 @@ The fast route is the truncated Dirichlet polynomial
     P(t) = sum_{n <= T} (log n)^l / n^(1+it),
 
 which approximates (-1)^l zeta^(l)(1+it) with error O((log log T)^l) for
-T <= t <= 2T and l up to (log T)/(log log T).  The oracle route is
+T <= t <= 2T and l up to (log T)/(log log T).  At one height it is summed
+over n in blocks, each component the exactly rounded fsum of all its
+terms, so its memory does not grow with T.  The oracle route is
 Euler-Maclaurin evaluation of zeta itself plus Cauchy-circle
 differentiation (trapezoid on a circle around s0, exponentially accurate
 for analytic integrands, with a mandatory two-grid agreement check).
@@ -45,10 +47,15 @@ _EM_REFUSAL_BOUND = 1e-8
 RING_RADIUS = 0.25
 RING_NODES = 64
 
-# Refusal before allocating: the most terms a Dirichlet polynomial or an
-# Euler-Maclaurin head sum may have (8 bytes or more each).
+# Refusal before summing: the most terms a Dirichlet polynomial or an
+# Euler-Maclaurin head sum may have.  The polynomial at one height and the
+# oracle's ring head run in blocks of n, so for them the limit bounds time,
+# not memory.
 MAX_SUM_TERMS = 10_000_000
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
+
+# The polynomial's block of n at one height (about 100 bytes per n).
+_POLY_BLOCK = 4096
 
 # The ring head's block of n (under 2 kB of temporaries per n at 128 nodes)
 # and 2 pi to long-double precision, as a double plus its rounding error.
@@ -132,34 +139,48 @@ def dirichlet_terms(cutoff: float, ell: int) -> int:
     return terms
 
 
-def dirichlet_coefficients(cutoff: float, ell: int):
-    """(log n, (log n)^l / n) for n <= cutoff, ascending n: the
-    frequencies and coefficients of the polynomial P.  Refuses, with
-    :func:`dirichlet_terms`, before allocating, and again if the sum is
-    not finite."""
-    terms = dirichlet_terms(cutoff, ell)
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    logn = np.log(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = logn**ell / n
-        total = np.sum(coeffs)
+def _coefficient_blocks(terms: int, ell: int, block: int):
+    """(log n, (log n)^l / n) for n <= terms in ascending blocks of
+    ``block`` n (one empty block if terms < 1): the frequencies and
+    coefficients of P, formed here and nowhere else.  Refuses, after the
+    last block, if the sum of the coefficients is not finite."""
+    total = 0.0
+    for start in range(1, max(terms, 1) + 1, block):
+        n = np.arange(start, min(start + block, terms + 1), dtype=np.float64)
+        logn = np.log(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = logn**ell / n
+            total += np.sum(coeffs)
+        yield logn, coeffs
     if not np.isfinite(total):
         raise _double_range_refusal(terms, ell)
-    return logn, coeffs
+
+
+def dirichlet_coefficients(cutoff: float, ell: int):
+    """(log n, (log n)^l / n) for n <= cutoff, ascending n, as two arrays.
+    Refuses, with :func:`dirichlet_terms`, before allocating, and again
+    if the sum is not finite."""
+    terms = dirichlet_terms(cutoff, ell)
+    (arrays,) = _coefficient_blocks(terms, ell, max(terms, 1))
+    return arrays
 
 
 def dirichlet_poly(point: EvalPoint) -> complex:
-    """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), ascending n, fsum."""
-    logn, w = dirichlet_coefficients(point.cutoff, point.ell)
+    """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), each component the
+    exactly rounded fsum of its terms.  n runs in blocks of
+    _POLY_BLOCK, so the working memory does not grow with T."""
+    terms = dirichlet_terms(point.cutoff, point.ell)
     # past 2^53 rad the spacing of doubles is 2 rad: no digit of the
     # phase t log n survives
-    phase = abs(point.t) * math.log(logn.size)
+    phase = abs(point.t) * math.log(terms)
     if phase >= 2.0**53:
         raise ValueError(
             f"t = {point.t:g} leaves no digit of the phase at N = "
-            f"{logn.size} terms: |t| log N = {phase:.3g} >= 2^53"
+            f"{terms} terms: |t| log N = {phase:.3g} >= 2^53"
         )
-    return exp_sum_at(logn, w, point.t)
+    return exp_sum_at(
+        lambda: _coefficient_blocks(terms, point.ell, _POLY_BLOCK), point.t
+    )
 
 
 # ------------------------------------------------------- Euler-Maclaurin --
@@ -322,9 +343,14 @@ def _ring_head(s0: complex, offsets: np.ndarray, cut: int) -> np.ndarray:
         logn = logn_ld.astype(np.float64)
         a = np.exp(-s0.real * logn - 1j * phase.astype(np.float64))
         pair = np.stack([a, a.conj()], axis=1)
-        factors = np.exp(-np.multiply.outer(quarter, logn))
+        # n^(-d), then n^(d), in one buffer, freed before the next block's
+        factors = np.multiply.outer(quarter, logn)
+        np.negative(factors, out=factors)
+        np.exp(factors, out=factors)
         at_d += factors @ pair
-        at_minus_d += (1.0 / factors) @ pair
+        np.divide(1.0, factors, out=factors)
+        at_minus_d += factors @ pair
+        del factors
     (p, pc), (r, rc) = at_d.T, at_minus_d.T
     # node k in [0, q) is d_k, in [q, 2q) -conj(d_(2q-k)), in [2q, 3q)
     # -d_(k-2q), and in [3q, 4q) conj(d_(4q-k))

@@ -44,7 +44,7 @@ def resonator_eval(elements, t):
     if not elements:
         raise ValueError("resonator needs at least one element")
     logs = np.array([math.log(m) for m in elements])
-    return exp_sum_at(logs, np.ones_like(logs), -t)
+    return exp_sum_at(lambda: [(logs, np.ones_like(logs))], -t)
 
 
 def test_bump_plateau_support_exact():
@@ -279,6 +279,17 @@ def test_scalar_sums_equal_their_fsum_form():
         vals = np.exp(1j * t * logs)
         want = complex(math.fsum(vals.real), math.fsum(vals.imag))
         assert resonator_eval(elems, t) == want
+    # P sums n in blocks of _POLY_BLOCK: cutoffs of one block and around
+    # a multiple of it, at each order and at a negative t
+    block = rzeta.zeta._POLY_BLOCK
+    for cutoff in (block, 3 * block - 1, 3 * block, 3 * block + 1):
+        n = np.arange(1, cutoff + 1, dtype=np.float64)
+        logn = np.log(n)
+        for ell in (0, 1, 2):
+            for t in (-1.5 * cutoff - 0.3, 2.5e4 + 0.7):
+                vals = logn**ell / n * np.exp(-1j * t * logn)
+                want = complex(math.fsum(vals.real), math.fsum(vals.imag))
+                assert dirichlet_poly(EvalPoint(t, ell, cutoff)) == want
 
 
 def test_quadrature_levels_evaluate_only_new_midpoints():
@@ -588,6 +599,10 @@ def test_certificate_small():
 def test_certificate_enforces_peak_constraint():
     with pytest.raises(ValueError, match="sqrt"):
         certificate(ResonatorSpec(10, 4), 1e4, 0)  # peak 9261000 >> 100
+    # T is refused first, not by sqrt(T) in the peak refusal's message
+    for T in (-1.0, 0.0):
+        with pytest.raises(ValueError, match=f"T must be positive, got {T}"):
+            certificate(ResonatorSpec(3, 3), T, 0)
 
 
 def test_certificate_sqrt_boundary_is_exact():

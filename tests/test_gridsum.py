@@ -55,7 +55,7 @@ def test_harmonic_sum_grid():
     assert abs(out[0].imag) < 1e-12
     # a random interior entry against the scalar evaluator
     t = 0.0 + 0.25 * 777
-    ref = exp_sum_at(omega, coeffs, t)
+    ref = exp_sum_at(lambda: [(omega, coeffs)], t)
     assert out[777] == pytest.approx(ref, abs=1e-11)
 
 
@@ -94,7 +94,7 @@ def test_cumprod_matches_direct():
     fast = _cumprod_grid(omega, coeffs, 1e5, 0.43, count)
     # spot-check a handful of positions against the scalar evaluator
     for k in rng.integers(0, count, 12):
-        ref = exp_sum_at(omega, coeffs, 1e5 + 0.43 * int(k))
+        ref = exp_sum_at(lambda: [(omega, coeffs)], 1e5 + 0.43 * int(k))
         assert abs(fast[k] - ref) < 2e-10 * omega.size
 
 

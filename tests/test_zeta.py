@@ -312,7 +312,9 @@ def test_dirichlet_terms_refuse_where_the_array_overflows(T, ell_star):
 
 def test_ring_memory_is_bounded_by_its_block():
     # the head runs over n in blocks: one ring at t = 1.5e5 (52k terms
-    # at 128 nodes) peaked at 129 MB when it was formed at full length
+    # at 128 nodes) peaked at 129 MB when it was formed at full length,
+    # and at 3.4 MB with three block-sized temporaries alive; one buffer
+    # per block reads 1.57 MB
     _zeta_ring_values.cache_clear()
     tracemalloc.start()
     try:
@@ -320,7 +322,20 @@ def test_ring_memory_is_bounded_by_its_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 1.9e6
+
+
+def test_polynomial_memory_is_bounded_by_its_block():
+    # P at one height runs over n in blocks: 2e5 terms peaked near 10 MB
+    # when its arrays were formed at full length
+    point = EvalPoint(3e5, 1, 2e5)
+    tracemalloc.start()
+    try:
+        dirichlet_poly(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_long_double_carries_the_oracle_phase():
