@@ -9,11 +9,21 @@ the payload as JSON or CSV and writes it once, to stdout or
 
 Exit codes: 0 success, 1 validation error or an unwritable output,
 2 numerical-accuracy failure.
+
+Importing this module loads the standard library, ``errors`` and
+``precision`` only, and no numpy.  Each subcommand imports what it runs
+inside its body: ``zeta`` loads ``zeta`` and ``gridsum``; ``sieve``
+loads ``primes``; ``ssum``, ``prop`` and ``factors`` load ``resonator``
+(with ``jets`` and ``primes``); ``resonate`` and ``scan`` load
+``engine``.  So ``--help`` and a refused argument finish without any of
+them.  mpmath loads only under ``--precision``, and ``csv`` only for
+``--csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import math
@@ -22,7 +32,6 @@ import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 
-from .engine import certificate, scan_max, scan_samples
 from .errors import AccuracyError
 from .precision import (
     DOUBLE,
@@ -31,19 +40,30 @@ from .precision import (
     check_constants,
     real_text,
 )
-from .primes import sieve_primes
-from .resonator import (
-    ResonatorSpec,
-    S_brute,
-    S_jet,
-    bound_constants,
-    proposition_report,
-    yang_factor,
-)
-from .zeta import EvalPoint, dirichlet_poly, zeta_deriv_cauchy
-# unused here; perfbench's tracer patches cli.layer_product (drop it with
-# the tracer's patch)
-from .resonator import layer_product  # noqa: F401
+
+# perfbench/tracer.py reads and replaces these names on this module, and
+# no caller here uses them: each is looked up in its home module on every
+# read, so importing cli loads none of those modules.  The table goes
+# when the tracer stops patching module attributes (ROADMAP item 9).
+_TRACED_NAMES = {
+    "certificate": "engine",
+    "scan_max": "engine",
+    "scan_samples": "engine",
+    "zeta_deriv_cauchy": "zeta",
+    "dirichlet_poly": "zeta",
+    "S_brute": "resonator",
+    "S_jet": "resonator",
+    "layer_product": "resonator",
+    "sieve_primes": "primes",
+}
+
+
+def __getattr__(name):
+    home = _TRACED_NAMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __package__), name)
+
 
 MAX_TABLE_ELL = 1000  # largest ell_max of the constant-comparison table
 
@@ -88,6 +108,8 @@ def _render(payload, args, prec: Precision) -> str:
 # ------------------------------------------------------------ subcommands --
 
 def _cmd_sieve(args, prec):
+    from .primes import sieve_primes
+
     table = sieve_primes(args.limit)
     doc = {
         "limit": table.limit,
@@ -100,6 +122,8 @@ def _cmd_sieve(args, prec):
 
 
 def _cmd_ssum(args, prec):
+    from .resonator import ResonatorSpec, S_brute, S_jet
+
     spec = ResonatorSpec(args.x, args.b)
     doc = {"x": args.x, "b": args.b, "ell": args.ell, "method": args.method}
     if args.method in ("brute", "both"):
@@ -115,6 +139,8 @@ def _cmd_ssum(args, prec):
 
 
 def _cmd_prop(args, prec):
+    from .resonator import ResonatorSpec, proposition_report
+
     spec = ResonatorSpec(args.x, args.b, args.J)
     rep = proposition_report(spec, args.ell, prec)
     doc = {"x": args.x, "b": args.b, "J": args.J, "ell": args.ell}
@@ -123,6 +149,8 @@ def _cmd_prop(args, prec):
 
 
 def _cmd_zeta(args, prec):
+    from .zeta import EvalPoint, dirichlet_poly, zeta_deriv_cauchy
+
     point = EvalPoint(args.t, args.ell, args.T)
     point.warn_if_off_range()
     value = dirichlet_poly(point)
@@ -143,6 +171,9 @@ def _cmd_zeta(args, prec):
 
 
 def _cmd_resonate(args, prec):
+    from .engine import certificate
+    from .resonator import ResonatorSpec
+
     spec = ResonatorSpec(args.x, args.b)
     cert = certificate(spec, args.T, args.ell)
     doc = {"x": args.x, "b": args.b, "T": args.T, "ell": args.ell}
@@ -151,6 +182,9 @@ def _cmd_resonate(args, prec):
 
 
 def _cmd_scan(args, prec):
+    from .engine import scan_max, scan_samples
+    from .resonator import ResonatorSpec
+
     if args.csv:
         t, v = scan_samples(args.T, args.ell, args.step)
         rows = ((repr(float(a)), repr(float(b))) for a, b in zip(t, v))
@@ -173,6 +207,8 @@ def comparison_rows(ell_max: int, T: float) -> list[dict]:
     Refuses, before building any row, an ell_max above MAX_TABLE_ELL or
     one whose row leaves the double range; with log_2 T > 1 the last row
     is the largest."""
+    from .resonator import bound_constants, yang_factor
+
     if not 1 <= ell_max <= MAX_TABLE_ELL:
         raise ValueError(
             f"need 1 <= ell_max <= {MAX_TABLE_ELL}, got {ell_max}"

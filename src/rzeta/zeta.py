@@ -62,6 +62,11 @@ _POLY_BLOCK = 4096
 _HEAD_BLOCK = 2048
 _TWO_PI = np.longdouble(2 * math.pi) + np.longdouble(2.4492935982947064e-16)
 
+# The general Euler-Maclaurin head's block: its s.size x n block of
+# complex terms stays under this many bytes (one n per block once s alone
+# is larger), so its working memory does not grow with the cut.
+_EM_BLOCK_BYTES = 1 << 18
+
 
 class RangeAdvisory(UserWarning):
     """Evaluation outside the range where the polynomial is known to
@@ -252,7 +257,8 @@ def _em_tail_terms(s: np.ndarray, cut: int, em_order: int):
 def zeta_em_array(
     s: np.ndarray, em_order: int = EM_ORDER, cut: int | None = None
 ) -> np.ndarray:
-    """Vectorized Euler-Maclaurin zeta for Re(s) > 0, s != 1."""
+    """Vectorized Euler-Maclaurin zeta for Re(s) > 0, s != 1.  The head
+    sum runs over n in blocks of at most _EM_BLOCK_BYTES of terms."""
     s = np.asarray(s, dtype=np.complex128)
     if np.any(s.real <= 0):
         raise ValueError("Euler-Maclaurin route needs Re(s) > 0")
@@ -265,14 +271,16 @@ def zeta_em_array(
     if not 2 <= cut <= MAX_SUM_TERMS:
         raise ValueError(f"cut must lie in [2, {MAX_SUM_TERMS}], got {cut}")
 
-    chunk = max(1, 4_000_000 // max(1, s.size))
-    n_all = np.arange(1, cut, dtype=np.float64)
-    logn = np.log(n_all)
     flat = s.ravel()
+    chunk = max(1, _EM_BLOCK_BYTES // (16 * max(1, flat.size)))
     res = np.zeros_like(flat)
-    for start in range(0, n_all.size, chunk):
-        ln = logn[start : start + chunk]
-        res += np.exp(-np.multiply.outer(flat, ln)).sum(axis=1)
+    for start in range(1, cut, chunk):
+        stop = min(start + chunk, cut)
+        logn = np.log(np.arange(start, stop, dtype=np.float64))
+        powers = np.multiply.outer(flat, logn)  # n^(-s), in place
+        np.negative(powers, out=powers)
+        np.exp(powers, out=powers)
+        res += powers.sum(axis=1)
     return (res + _em_tail_terms(flat, cut, em_order)).reshape(s.shape)
 
 

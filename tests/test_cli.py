@@ -479,6 +479,51 @@ def test_lemma_fields_at_working_precision(capsys):
             assert abs(mpmath.mpf(doc[key]) - ref) < mpmath.mpf(10) ** -58, key
 
 
+# The names perfbench's tracer reads and replaces on cli, by home module.
+_CLI_LAZY_NAMES = {
+    "certificate": "engine",
+    "scan_max": "engine",
+    "scan_samples": "engine",
+    "zeta_deriv_cauchy": "zeta",
+    "dirichlet_poly": "zeta",
+    "S_brute": "resonator",
+    "S_jet": "resonator",
+    "layer_product": "resonator",
+    "sieve_primes": "primes",
+}
+
+_LAZY_NAME = """
+import importlib, json, sys
+import rzeta.cli as cli
+name, home = sys.argv[1], "rzeta." + sys.argv[2]
+before = [m for m in ("numpy", home) if m in sys.modules]
+value = getattr(cli, name)
+print(json.dumps([before, home in sys.modules,
+                  value is getattr(importlib.import_module(home), name)]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_CLI_LAZY_NAMES))
+def test_cli_loads_a_pipeline_name_from_its_home_on_first_read(name):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_NAME, name, _CLI_LAZY_NAMES[name]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True, True]
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "ResonatorSpec", "EvalPoint"])
+def test_cli_has_no_other_lazy_names(name):
+    from rzeta import cli
+
+    with pytest.raises(AttributeError, match=name):
+        getattr(cli, name)
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(rzeta.__file__)))
     proc = subprocess.run(
@@ -493,12 +538,17 @@ def test_cli_import_leaves_scipy_out():
 
 
 # Runs each argv in one fresh interpreter, in order, and prints per argv
-# the exit code, which of mpmath, fractions and csv are then loaded, and
-# the output.
+# the exit code, which of the watched modules are then loaded, and the
+# output.
 _COLD_START = """
 import contextlib, io, json, sys
 from rzeta import cli
-lazy = {"mpmath", "fractions", "csv"}
+lazy = {"mpmath", "fractions", "csv", "numpy"} | {
+    f"rzeta.{name}" for name in (
+        "engine", "zeta", "gridsum", "resonator", "jets", "primes",
+        "quadrature",
+    )
+}
 report = [["import", 0, sorted(lazy & set(sys.modules)), ""]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -524,12 +574,15 @@ _PROP_50 = {
 
 
 def test_double_precision_commands_leave_mpmath_unloaded():
-    # mpmath, fractions and csv load only where used: mpmath for
-    # --precision, csv for --csv
+    # each module loads only where used: numpy and the numerical modules
+    # for the subcommand that runs them, mpmath for --precision, csv for
+    # --csv; --help and a refused argument load none of them
     argvs = [
-        "resonate --x 3 --b 3 --T 2e4 --ell 1",
+        "--help",
+        "zeta --T -1 --t 5 --ell 0",
         "zeta --T 1e4 --t 1.5e4 --ell 1 --oracle",
         "sieve --limit 10",
+        "resonate --x 3 --b 3 --T 2e4 --ell 1",
         "scan --T 2e4 --ell 1 --step 0.068 --csv",
         "prop --x 10 --b 3 --J 2 --ell 1 --precision 50",
     ]
@@ -543,10 +596,18 @@ def test_double_precision_commands_leave_mpmath_unloaded():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert [(argv, code) for argv, code, _, _ in report] == [
-        (argv, 0) for argv in ["import"] + argvs
-    ]
+        ("import", 0), ("--help", 0), (argvs[1], 1)
+    ] + [(argv, 0) for argv in argvs[2:]]
+    zeta = ["numpy", "rzeta.gridsum", "rzeta.zeta"]
+    sieve = sorted(zeta + ["rzeta.primes"])
+    numeric = sorted(sieve + [
+        "rzeta.engine", "rzeta.jets", "rzeta.quadrature", "rzeta.resonator"
+    ])
     loaded = [modules for _, _, modules, _ in report]
-    assert loaded == [[], [], [], [], ["csv"], ["csv", "mpmath"]]
+    assert loaded == [
+        [], [], [], zeta, sieve, numeric,
+        sorted(numeric + ["csv"]), sorted(numeric + ["csv", "mpmath"]),
+    ]
     assert json.loads(report[-1][3]) == _PROP_50
 
 

@@ -338,6 +338,22 @@ def test_polynomial_memory_is_bounded_by_its_block():
     assert peak < 2e6
 
 
+def test_euler_maclaurin_memory_is_bounded_by_its_block():
+    # the general head runs over n in blocks of bytes: at a cut of about
+    # 7e5 it peaked at 33.6 MB when n and log n were formed at full length
+    tracemalloc.start()
+    try:
+        value = zeta_em(1 + 2e6j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    with mpmath.workdps(20):
+        ref = complex(mpmath.zeta(mpmath.mpc(1, 2e6)))
+    # each phase t log n is rounded in double: 3.2e-10 here
+    assert abs(value - ref) < 1e-8 * abs(ref)
+
+
 def test_long_double_carries_the_oracle_phase():
     # the ring head reduces t log n mod 2 pi in long double; where long
     # double is the 53-bit double the oracle falls back to about 1e-10
