@@ -347,7 +347,7 @@ def run(argv: list[str] | None = None) -> int:
         digits = getattr(args, "precision", None)
         prec = DOUBLE if digits is None else Precision(digits)
         check_constants(prec)
-        with warnings.catch_warnings(), prec.context():
+        with warnings.catch_warnings():
             warnings.simplefilter("default")
             text = _render(args.func(args, prec), args, prec)
     except (ValueError, OverflowError) as exc:

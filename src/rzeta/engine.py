@@ -58,7 +58,7 @@ from .resonator import (
     max_element,
     s_over_cardinality_jet,
 )
-from .zeta import dirichlet_coefficients, dirichlet_terms
+from .zeta import coefficients_at, dirichlet_coefficients, dirichlet_terms
 # unused here; perfbench's tracer patches engine._em_tail_terms and
 # engine.integrate_refine (drop both with the tracer's patches)
 from .quadrature import integrate_refine  # noqa: F401
@@ -327,10 +327,10 @@ def _sum_M1(T: float, ns, values) -> float:
 
 
 def _sum_M2(T: float, ns, values, ell: int) -> complex:
-    """M2 from a window's terms, c_n = (log n)^l/n formed elementwise as
-    :func:`dirichlet_coefficients` forms it, only at the n in the window."""
-    n = ns.astype(np.float64)
-    products = np.log(n) ** ell / n * values
+    """M2 from a window's terms, with c_n = (log n)^l/n formed by
+    :func:`coefficients_at` only at the n in the window."""
+    _, coeffs = coefficients_at(ns.astype(np.float64), ell)
+    products = coeffs * values
     return T * complex(math.fsum(products.real), math.fsum(products.imag))
 
 
@@ -450,8 +450,11 @@ def scan_max(
     """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
 
     The grid is :func:`scan_samples`'s.  Ties in the grid maximum resolve
-    to the smallest t.
+    to the smallest t.  A T <= e^e, where the bound constants are
+    undefined, is refused before the grid is built.
     """
+    _check_scan(T, ell, grid_step)
+    theo, yang = bound_constants(ell, T)
     t_grid, values = scan_samples(T, ell, grid_step)
     count = t_grid.size
     step = T / (count - 1)
@@ -480,7 +483,6 @@ def scan_max(
     if spec is not None:
         cert = certificate(spec, T, ell).ratio
 
-    theo, yang = bound_constants(ell, T)
     return ScanReport(
         T=float(T),
         ell=ell,
@@ -501,6 +503,19 @@ def scan_samples(T: float, ell: int, grid_step: float):
     The step must satisfy grid_step <= pi/(4 log T): the polynomial's
     bandwidth is log T, and this keeps inter-sample wiggle bounded.
     """
+    _check_scan(T, ell, grid_step)
+    count = int(math.ceil(T / grid_step)) + 1
+    step = T / (count - 1)
+    logn, coeffs = dirichlet_coefficients(T, ell)
+    values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
+    return T + step * np.arange(count), values
+
+
+def _check_scan(T: float, ell: int, grid_step: float) -> None:
+    """Refuses a scan's inputs before any work: T < 2, a step that is not
+    finite and positive or above pi/(4 log T), ell < 0, a grid of more
+    than MAX_SCAN_POINTS points, or a P that :func:`dirichlet_terms`
+    refuses."""
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
     if not (math.isfinite(grid_step) and grid_step > 0):
@@ -521,8 +536,4 @@ def scan_samples(T: float, ell: int, grid_step: float):
             f"scan of {points:.3g} grid points (grid_step {grid_step}) "
             f"exceeds the limit of {MAX_SCAN_POINTS}"
         )
-    count = int(math.ceil(T / grid_step)) + 1
-    step = T / (count - 1)
-    logn, coeffs = dirichlet_coefficients(T, ell)
-    values = np.abs(exp_sum_on_grid(logn, coeffs, T, step, count))
-    return T + step * np.arange(count), values
+    dirichlet_terms(T, ell)

@@ -46,13 +46,12 @@ def jet_product(
     """Fold a non-empty iterable of jets into their product, in the given
     order, at the working precision ``prec``; a generator is read as it
     is folded, so its jets need not all be held at once."""
-    with prec.context():
-        rest = iter(factors)
-        acc = next(rest, None)
-        if acc is None:
-            raise ValueError("a jet product needs at least one factor")
-        for f in rest:
-            acc = jet_mul(acc, f, prec)
+    rest = iter(factors)
+    acc = next(rest, None)
+    if acc is None:
+        raise ValueError("a jet product needs at least one factor")
+    for f in rest:
+        acc = jet_mul(acc, f, prec)
     return acc
 
 
@@ -100,20 +99,19 @@ def local_factor_jet(
     stop = int(max(order, digits_floor) / log_p) + 1
     while order * math.log(stop * log_p) - stop * log_p >= -digits_floor:
         stop += 1
-    with prec.context():
-        terms = []  # (b-v) p^(-v), then (b-v) (-v log p)^k p^(-v) / k!
-        pv = real(1, prec)
-        for v in range(min(b, stop)):
-            terms.append((b - v) * pv)
-            pv = pv / p
-        coeffs = [rsum(terms, prec)]
-        if order > 0:
-            logp = rlog(p, prec)
-            slopes = [-v * logp for v in range(len(terms))]
-            for k in range(1, order + 1):
-                terms = [t * s / k for t, s in zip(terms, slopes)]
-                coeffs.append(rsum(terms, prec))
-        return tuple(coeffs)
+    terms = []  # (b-v) p^(-v), then (b-v) (-v log p)^k p^(-v) / k!
+    pv = real(1, prec)
+    for v in range(min(b, stop)):
+        terms.append((b - v) * pv)
+        pv = pv / p
+    coeffs = [rsum(terms, prec)]
+    if order > 0:
+        logp = rlog(p, prec)
+        slopes = [-v * logp for v in range(len(terms))]
+        for k in range(1, order + 1):
+            terms = [t * s / k for t, s in zip(terms, slopes)]
+            coeffs.append(rsum(terms, prec))
+    return tuple(coeffs)
 
 
 def derivative_from_jet(jet: tuple, ell: int):

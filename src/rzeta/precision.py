@@ -8,19 +8,29 @@ double; a high-precision mode backed by mpmath with 50 to
 High-precision mode also sidesteps double-range overflow for resonator
 cardinalities like ``1000**1229``.
 
+High-precision reals come from a private mpmath context, one per digit
+count (:func:`_context`), never from mpmath's global one.  Such a real
+carries its context, so every operation on it is rounded at that
+context's precision, whatever mpmath's global precision is: no caller
+sets a working precision, and none can forget to.  mpmath rounds an
+operation at the precision of its left operand (a plain int or float
+on the left defers to the real on the right); this package creates no
+global-context real, so no operation here is rounded at mpmath's
+global precision.
+
 In double mode Euler's constant and ``e**gamma`` are the stored
 50-digit literals rounded to double.  In high-precision mode they are
 mpmath's ``euler`` and its exponential at the working precision, so
 every accepted digit count gets that many correct digits;
 :func:`check_constants` cross-checks either against the literals.
 
-This is the one module that imports mpmath, and only inside its
-high-precision branches: a double-precision run never loads it.
+This is the one module that imports mpmath, and only inside
+:func:`_context`: a double-precision run never loads it.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,21 +69,20 @@ class Precision:
     def effective_digits(self) -> int:
         return 17 if self.digits is None else self.digits
 
-    def context(self):
-        """Working-precision context: mpmath workdps, or a no-op for double.
-
-        Any function that accumulates in high-precision mode must run its
-        arithmetic inside this context; mpmath precision is dynamic.
-        """
-        if self.is_double:
-            return contextlib.nullcontext()
-        import mpmath
-
-        return mpmath.workdps(self.digits)
-
 
 DOUBLE = Precision()
 HIGH = Precision(50)
+
+
+@functools.cache
+def _context(digits: int):
+    """The private mpmath context whose reals carry ``digits``
+    significant digits; one per digit count, made on first use."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = digits
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -86,11 +95,9 @@ def constants(prec: Precision = DOUBLE) -> Constants:
     """Euler's constant and e**gamma at the requested precision."""
     if prec.is_double:
         return Constants(EULER_GAMMA, EXP_GAMMA)
-    import mpmath
-
-    with mpmath.workdps(prec.digits):
-        gamma = +mpmath.euler
-        return Constants(gamma, mpmath.exp(gamma))
+    ctx = _context(prec.digits)
+    gamma = +ctx.euler
+    return Constants(gamma, ctx.exp(gamma))
 
 
 def check_constants(prec: Precision = DOUBLE) -> None:
@@ -105,14 +112,12 @@ def check_constants(prec: Precision = DOUBLE) -> None:
         rel = abs(math.exp(c.euler_gamma) - c.exp_gamma) / c.exp_gamma
         tol = 1e-15
     else:
-        import mpmath
-
-        with mpmath.workdps(prec.digits):
-            rel = max(
-                abs(c.euler_gamma / mpmath.mpf(EULER_GAMMA_STR) - 1),
-                abs(c.exp_gamma / mpmath.mpf(EXP_GAMMA_STR) - 1),
-            )
-            tol = mpmath.mpf(10) ** -48
+        ctx = _context(prec.digits)
+        rel = max(
+            abs(c.euler_gamma / ctx.mpf(EULER_GAMMA_STR) - 1),
+            abs(c.exp_gamma / ctx.mpf(EXP_GAMMA_STR) - 1),
+        )
+        tol = ctx.mpf(10) ** -48
     if not rel < tol:
         raise AccuracyError(f"constant self-check failed: rel={rel}")
 
@@ -124,29 +129,20 @@ def real(x, prec: Precision = DOUBLE):
     """Coerce x (int, float, str) to the working real type."""
     if prec.is_double:
         return float(x)
-    import mpmath
-
-    with mpmath.workdps(prec.digits):
-        return mpmath.mpf(x)
+    return _context(prec.digits).mpf(x)
 
 
 def rlog(x, prec: Precision = DOUBLE):
     if prec.is_double:
         return math.log(x)
-    import mpmath
-
-    with mpmath.workdps(prec.digits):
-        return mpmath.log(x)
+    return _context(prec.digits).log(x)
 
 
 def rsum(terms, prec: Precision = DOUBLE):
     """The sum of ``terms``, rounded once: math.fsum or mpmath.fsum."""
     if prec.is_double:
         return math.fsum(terms)
-    import mpmath
-
-    with mpmath.workdps(prec.digits):
-        return mpmath.fsum(terms)
+    return _context(prec.digits).fsum(terms)
 
 
 def rdot(a, b, prec: Precision = DOUBLE):
@@ -154,18 +150,14 @@ def rdot(a, b, prec: Precision = DOUBLE):
     precision mpmath.fdot, whose products are exact."""
     if prec.is_double:
         return math.fsum(x * y for x, y in zip(a, b))
-    import mpmath
-
-    with mpmath.workdps(prec.digits):
-        return mpmath.fdot(a, b)
+    return _context(prec.digits).fdot(a, b)
 
 
 def real_text(value, prec: Precision) -> str:
     """A high-precision real as a string of its working digits, the form
     a JSON payload carries it in; any other value is refused."""
     if not prec.is_double:
-        import mpmath
-
-        if isinstance(value, mpmath.mpf):
-            return mpmath.nstr(value, prec.digits)
+        ctx = _context(prec.digits)
+        if isinstance(value, ctx.mpf):
+            return ctx.nstr(value, prec.digits)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -68,14 +68,13 @@ def mertens_product(
         raise ValueError(f"x must be >= 2, got {x}")
     if x > table.limit:
         raise ValueError(f"x={x} exceeds table limit {table.limit}")
-    with prec.context():
-        value = real(1, prec)
-        for p in table.primes:
-            if p > x:
-                break
-            value = value * p / (p - 1)
-        asymptotic = constants(prec).exp_gamma * rlog(x, prec)
-        return MertensProduct(value, value / asymptotic)
+    value = real(1, prec)
+    for p in table.primes:
+        if p > x:
+            break
+        value = value * p / (p - 1)
+    asymptotic = constants(prec).exp_gamma * rlog(x, prec)
+    return MertensProduct(value, value / asymptotic)
 
 
 def iterated_log(T: float, j: int):

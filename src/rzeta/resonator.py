@@ -148,8 +148,7 @@ def _times(count: int, value, prec: Precision):
                 f"by |M| exceeds the double range; {_SCALE_ADVICE}"
             )
         return product
-    with prec.context():
-        return real(count, prec) * value
+    return real(count, prec) * value
 
 
 def enumerate_M(spec: ResonatorSpec, cap: int = ENUMERATION_CAP) -> list[int]:
@@ -217,20 +216,19 @@ def _weighted_sum(
                 f"ell={ell}; use high precision (--precision)"
             )
         return total
-    with prec.context():
-        elements = [(1, 1, real(0, prec))]
-        for p in primes:
-            logp = rlog(p, prec)
-            elements = [
-                (kv * p**e, wv * (b - e), logkv + e * logp)
-                for kv, wv, logkv in elements
-                for e in range(b)
-            ]
-        elements.sort(key=lambda t: t[0], reverse=True)
-        acc = real(0, prec)
-        for kv, wv, logkv in elements:
-            acc += wv * logkv**ell / kv
-        return acc
+    elements = [(1, 1, real(0, prec))]
+    for p in primes:
+        logp = rlog(p, prec)
+        elements = [
+            (kv * p**e, wv * (b - e), logkv + e * logp)
+            for kv, wv, logkv in elements
+            for e in range(b)
+        ]
+    elements.sort(key=lambda t: t[0], reverse=True)
+    acc = real(0, prec)
+    for kv, wv, logkv in elements:
+        acc += wv * logkv**ell / kv
+    return acc
 
 
 def S_brute(
@@ -275,18 +273,17 @@ def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
     refuse_double_order(order, prec)
     b = spec.b
     products = []
-    with prec.context():
-        acc = jet_identity(order, prec)
-        done = 0
-        for i in layers:
-            end = len(spec.layer_primes(i))
-            # generators: one layer's jets are folded, not held, at once
-            local = (local_factor_jet(p, b, order, prec)
-                     for p in (spec.primes[done:end] if b > 1 else ()))
-            normalized = (tuple(c / b for c in j) for j in local)
-            acc = jet_product(itertools.chain([acc], normalized), prec=prec)
-            products.append(acc)
-            done = end
+    acc = jet_identity(order, prec)
+    done = 0
+    for i in layers:
+        end = len(spec.layer_primes(i))
+        # generators: one layer's jets are folded, not held, at once
+        local = (local_factor_jet(p, b, order, prec)
+                 for p in (spec.primes[done:end] if b > 1 else ()))
+        normalized = (tuple(c / b for c in j) for j in local)
+        acc = jet_product(itertools.chain([acc], normalized), prec=prec)
+        products.append(acc)
+        done = end
     return products
 
 
@@ -309,8 +306,7 @@ def s_over_cardinality_jet(
     """S(x; l) / |M| via the l-th derivative of the normalized Euler
     product; overflow-safe at any scale the jet route can reach."""
     (product,) = _euler_fold(spec, ell, prec, [spec.J])
-    with prec.context():
-        return _s_over(product, ell, prec)
+    return _s_over(product, ell, prec)
 
 
 def S_jet(spec: ResonatorSpec, ell: int, prec: Precision = DOUBLE):
@@ -375,8 +371,7 @@ def partition_over_cardinality(
 ):
     """Partition lower bound for S(x; l), divided by |M| (overflow-safe)."""
     products = _euler_fold(spec, ell, prec, range(spec.J + 1))
-    with prec.context():
-        return _partition_over(products, spec, ell, prec)
+    return _partition_over(products, spec, ell, prec)
 
 
 def partition_lower_bound(
@@ -463,22 +458,21 @@ def proposition_report(
     budget shrinks.
     """
     products = _euler_fold(spec, ell, prec, range(spec.J + 1))
-    with prec.context():
-        s_over = _s_over(products[-1], ell, prec)
-        part = _partition_over(products, spec, ell, prec)
-        c = constants(prec)
-        logx = rlog(spec.x, prec)
-        target = c.exp_gamma / (ell + 1) * logx ** (ell + 1)
-        loglogx = rlog(logx, prec)
-        budget = (
-            real(1, prec) / spec.J
-            + spec.J * loglogx / spec.b
-            + real(spec.J, prec) ** 2 / logx
-        )
-        return PropositionReport(
-            S_over_M=s_over,
-            target=target,
-            ratio=s_over / target,
-            error_budget=budget,
-            partition_bound_over_M=part,
-        )
+    s_over = _s_over(products[-1], ell, prec)
+    part = _partition_over(products, spec, ell, prec)
+    c = constants(prec)
+    logx = rlog(spec.x, prec)
+    target = c.exp_gamma / (ell + 1) * logx ** (ell + 1)
+    loglogx = rlog(logx, prec)
+    budget = (
+        real(1, prec) / spec.J
+        + spec.J * loglogx / spec.b
+        + real(spec.J, prec) ** 2 / logx
+    )
+    return PropositionReport(
+        S_over_M=s_over,
+        target=target,
+        ratio=s_over / target,
+        error_budget=budget,
+        partition_bound_over_M=part,
+    )

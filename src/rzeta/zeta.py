@@ -144,17 +144,22 @@ def dirichlet_terms(cutoff: float, ell: int) -> int:
     return terms
 
 
+def coefficients_at(n, ell: int):
+    """(log n, (log n)^l / n) at the float64 array n: the frequencies and
+    coefficients of P, formed here and nowhere else."""
+    logn = np.log(n)
+    return logn, logn**ell / n
+
+
 def _coefficient_blocks(terms: int, ell: int, block: int):
-    """(log n, (log n)^l / n) for n <= terms in ascending blocks of
-    ``block`` n (one empty block if terms < 1): the frequencies and
-    coefficients of P, formed here and nowhere else.  Refuses, after the
-    last block, if the sum of the coefficients is not finite."""
+    """:func:`coefficients_at` for n <= terms in ascending blocks of
+    ``block`` n (one empty block if terms < 1).  Refuses, after the last
+    block, if the sum of the coefficients is not finite."""
     total = 0.0
     for start in range(1, max(terms, 1) + 1, block):
         n = np.arange(start, min(start + block, terms + 1), dtype=np.float64)
-        logn = np.log(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = logn**ell / n
+            logn, coeffs = coefficients_at(n, ell)
             total += np.sum(coeffs)
         yield logn, coeffs
     if not np.isfinite(total):
@@ -302,11 +307,6 @@ def cauchy_ring(ell: int, radius: float, nodes: int):
     return radius * np.exp(1j * theta), scale * np.exp(-1j * ell * theta)
 
 
-def _weighted_fsum(vals: np.ndarray, weights: np.ndarray) -> complex:
-    terms = vals * weights
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
 def cauchy_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     s0: complex,
@@ -324,7 +324,8 @@ def cauchy_derivative(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     offsets, weights = cauchy_ring(ell, radius, nodes)
-    return _weighted_fsum(f(s0 + offsets), weights)
+    terms = f(s0 + offsets) * weights
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def _ring_head(s0: complex, offsets: np.ndarray, cut: int) -> np.ndarray:
@@ -387,8 +388,9 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     RING_NODES vs 2*RING_NODES agreement check, to 1e-8 relative to the
     value (absolute below 1).
 
-    One 2*RING_NODES ring is evaluated; the coarse rule is its even nodes
-    at twice the weight.
+    One 2*RING_NODES ring is evaluated; the coarse rule is the
+    RING_NODES rule on its even nodes, whose weights are exactly twice
+    the fine rule's there.
     """
     s0 = complex(s0)
     radius, nodes = RING_RADIUS, 2 * RING_NODES
@@ -399,9 +401,10 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     if s0.real - radius <= 0:
         raise ValueError("circle dips into Re(s) <= 0, outside the oracle range")
     vals = _zeta_ring_values(s0.real, s0.imag)
-    _, weights = cauchy_ring(ell, radius, nodes)
-    fine = _weighted_fsum(vals, weights)
-    coarse = 2.0 * _weighted_fsum(vals[::2], weights[::2])
+    fine = cauchy_derivative(lambda s: vals, s0, ell, radius, nodes)
+    coarse = cauchy_derivative(
+        lambda s: vals[::2], s0, ell, radius, nodes // 2
+    )
     gap = abs(fine - coarse)
     if gap > 1e-8 * max(1.0, abs(fine)):
         raise AccuracyError(

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 import rzeta
+import rzeta.engine
 import rzeta.resonator
 import rzeta.zeta
 from rzeta.cli import comparison_rows, run
@@ -886,6 +887,21 @@ def test_ssum_refuses_b_pi_x_before_the_sieve(capsys, monkeypatch):
         assert code == 1 and out == ""
         for name in ("--x 1e+07", "--b 8", "8^620420", "x/ln x", limit):
             assert name in err
+
+
+def test_scan_refuses_T_below_e_e_before_the_grid(capsys, monkeypatch):
+    # the bound constants need T > e^e; the 75001-point grid and its
+    # refinement are not built for a T they refuse
+    def never(T, ell, grid_step):
+        raise AssertionError("grid built for a refused T")
+
+    monkeypatch.setattr(rzeta.engine, "scan_samples", never)
+    code, out, err = invoke(
+        capsys, "scan", "--T", "15", "--ell", "0", "--step", "0.0002",
+        "--refine", "--no-timestamp",
+    )
+    assert code == 1 and out == ""
+    assert "need T > e^e" in err
 
 
 def test_resonate_at_b_1_folds_no_prime(capsys):

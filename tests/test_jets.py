@@ -14,7 +14,8 @@ from rzeta.jets import (
     jet_product,
     local_factor_jet,
 )
-from rzeta.precision import HIGH
+from rzeta.precision import HIGH, real_text
+from rzeta.resonator import ResonatorSpec, S_jet
 
 
 def exp_jet(order, scale=1.0):
@@ -119,6 +120,18 @@ def test_local_factor_high_precision():
     j = local_factor_jet(2, 2, 2, HIGH)
     with mpmath.workdps(50):
         assert abs(j[1] + mpmath.log(2) / 2) < mpmath.mpf(10) ** -48
+    # outside any workdps, 30! c_30 = (log 2)^30 / 2 keeps its 50 digits,
+    # and S_jet's digits do not depend on mpmath's global precision
+    d30 = derivative_from_jet(local_factor_jet(2, 2, 30, HIGH), 30)
+    with mpmath.workdps(60):
+        ref = mpmath.log(2) ** 30 / 2
+        assert abs(d30 / ref - 1) < mpmath.mpf(10) ** -45
+    spec = ResonatorSpec(17, 3)
+    texts = []
+    for dps in (15, 200):
+        with mpmath.workdps(dps):
+            texts.append(real_text(S_jet(spec, 3, HIGH), HIGH))
+    assert texts[0] == texts[1]
 
 
 small_jets = st.lists(
