@@ -110,14 +110,14 @@ def _render(payload, args, prec: Precision) -> str:
 def _cmd_sieve(args, prec):
     from .primes import sieve_primes
 
-    table = sieve_primes(args.limit)
+    primes = sieve_primes(args.limit)
     doc = {
-        "limit": table.limit,
-        "count": len(table.primes),
-        "largest": table.primes[-1] if table.primes else None,
+        "limit": args.limit,
+        "count": len(primes),
+        "largest": primes[-1] if primes else None,
     }
-    if len(table.primes) <= 200:
-        doc["primes"] = list(table.primes)
+    if len(primes) <= 200:
+        doc["primes"] = list(primes)
     return doc
 
 

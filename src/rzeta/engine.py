@@ -450,11 +450,13 @@ def scan_max(
     """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
 
     The grid is :func:`scan_samples`'s.  Ties in the grid maximum resolve
-    to the smallest t.  A T <= e^e, where the bound constants are
-    undefined, is refused before the grid is built.
+    to the smallest t.  Every refusal comes before the grid is built: a
+    T <= e^e, where the bound constants are undefined, and with a
+    ``spec`` the certificate's, whose ratio is computed first.
     """
     _check_scan(T, ell, grid_step)
     theo, yang = bound_constants(ell, T)
+    cert = None if spec is None else certificate(spec, T, ell).ratio
     t_grid, values = scan_samples(T, ell, grid_step)
     count = t_grid.size
     step = T / (count - 1)
@@ -478,10 +480,6 @@ def scan_max(
             t_star, v_star = _golden_max(amplitude, lo, hi)
             if v_star > best_v or (v_star == best_v and t_star < best_t):
                 best_t, best_v = t_star, v_star
-
-    cert = None
-    if spec is not None:
-        cert = certificate(spec, T, ell).ratio
 
     return ScanReport(
         T=float(T),

@@ -71,7 +71,6 @@ class Precision:
 
 
 DOUBLE = Precision()
-HIGH = Precision(50)
 
 
 @functools.cache
@@ -85,19 +84,12 @@ def _context(digits: int):
     return ctx
 
 
-@dataclass(frozen=True)
-class Constants:
-    euler_gamma: object
-    exp_gamma: object
-
-
-def constants(prec: Precision = DOUBLE) -> Constants:
-    """Euler's constant and e**gamma at the requested precision."""
+def exp_gamma(prec: Precision = DOUBLE):
+    """e**gamma at the requested precision."""
     if prec.is_double:
-        return Constants(EULER_GAMMA, EXP_GAMMA)
+        return EXP_GAMMA
     ctx = _context(prec.digits)
-    gamma = +ctx.euler
-    return Constants(gamma, ctx.exp(gamma))
+    return ctx.exp(+ctx.euler)
 
 
 def check_constants(prec: Precision = DOUBLE) -> None:
@@ -107,15 +99,15 @@ def check_constants(prec: Precision = DOUBLE) -> None:
     Raises :class:`AccuracyError` on drift; cheap enough to run at the
     start of every CLI command and in the test suite.
     """
-    c = constants(prec)
+    eg = exp_gamma(prec)
     if prec.is_double:
-        rel = abs(math.exp(c.euler_gamma) - c.exp_gamma) / c.exp_gamma
+        rel = abs(math.exp(EULER_GAMMA) - eg) / eg
         tol = 1e-15
     else:
         ctx = _context(prec.digits)
         rel = max(
-            abs(c.euler_gamma / ctx.mpf(EULER_GAMMA_STR) - 1),
-            abs(c.exp_gamma / ctx.mpf(EXP_GAMMA_STR) - 1),
+            abs(+ctx.euler / ctx.mpf(EULER_GAMMA_STR) - 1),
+            abs(eg / ctx.mpf(EXP_GAMMA_STR) - 1),
         )
         tol = ctx.mpf(10) ** -48
     if not rel < tol:

@@ -8,11 +8,11 @@ members of M.  The central quantity is
     S(x; l) = sum_{m in M} sum_{k|m} (log k)^l / k
             = sum_{k in M} w(k) (log k)^l / k,
 
-computed here by three independent routes: the literal nested double sum
-(:func:`S_nested`, oracle), the collapsed weighted sum over enumerated
-elements (:func:`S_brute`), and the l-th derivative of the Euler product
-via jets (:func:`S_jet`), which is the only route that scales to
-x = 10^4, b = 10^3.
+computed here by two independent routes: the collapsed weighted sum over
+enumerated elements (:func:`S_brute`), and the l-th derivative of the
+Euler product via jets (:func:`S_jet`), which is the only route that
+scales to x = 10^4, b = 10^3.  The tests check both against the literal
+nested double sum over m in M and k | m.
 
 Layer decompositions M_0 = {1} <= M_1 <= ... <= M_J = M (by prime
 smoothness thresholds x^(j/J)) give the partition lower bound
@@ -46,7 +46,7 @@ from .jets import (
     local_factor_jet,
     refuse_double_order,
 )
-from .precision import DOUBLE, Precision, constants, real, rlog
+from .precision import DOUBLE, Precision, exp_gamma, real, rlog
 from .primes import MAX_SIEVE_LIMIT, iterated_log
 
 ENUMERATION_CAP = 10**6
@@ -59,7 +59,7 @@ _SCALE_ADVICE = (
 def _primes_upto(limit: int) -> tuple[int, ...]:
     from .primes import sieve_primes
 
-    return sieve_primes(limit).primes
+    return sieve_primes(limit)
 
 
 @dataclass(frozen=True)
@@ -164,26 +164,6 @@ def enumerate_M(spec: ResonatorSpec, cap: int = ENUMERATION_CAP) -> list[int]:
     return elements
 
 
-def weight_w(k: int, spec: ResonatorSpec) -> int:
-    """Multiplicity of k in M: #{m in M : k | m} = prod_p (b - v_p(k))."""
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"element must be a positive integer, got {k!r}")
-    rest, w = k, 1
-    for p in spec.primes:
-        v = 0
-        while rest % p == 0:
-            rest //= p
-            v += 1
-        if v >= spec.b:
-            raise ValueError(
-                f"{k} has {p}^{v} with {v} >= b={spec.b}: not an element of M"
-            )
-        w *= spec.b - v
-    if rest != 1:
-        raise ValueError(f"{k} has a prime factor above x={spec.x:g}")
-    return w
-
-
 def _weighted_sum(
     primes: tuple[int, ...], b: int, cap: int, prec: Precision, ell: int
 ):
@@ -243,18 +223,6 @@ def S_brute(
     _refuse_by_pi_bound(spec, math.log2(cap), f"enumeration cap {cap}",
                         ValueError)
     return _weighted_sum(spec.primes, spec.b, cap, prec, ell)
-
-
-def S_nested(spec: ResonatorSpec, ell: int) -> float:
-    """S(x; l) as the literal double sum over m in M and divisors k | m.
-
-    Oracle route: makes no use of the multiplicity collapse, so it checks
-    both S_brute and S_jet.  Cost |M|^2; small specs only.
-    """
-    elements = enumerate_M(spec)
-    return math.fsum(
-        math.log(k) ** ell / k for m in elements for k in elements if m % k == 0
-    )
 
 
 def _euler_fold(spec: ResonatorSpec, order: int, prec: Precision, layers):
@@ -425,10 +393,12 @@ def bound_constants(ell: int, T: float) -> tuple[float, float]:
 
     Yang's coefficient is written e^gamma/((l+1) (1+1/l)^l), 1 at l=0, so
     no intermediate leaves the double range before the result does.
-    Needs T > e^e, where log_3 T > 0."""
+    Needs ell >= 0 and T > e^e, where log_3 T > 0."""
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
     if T <= math.exp(math.e):
         raise ValueError(f"need T > e^e, got {T}")
-    eg = constants().exp_gamma
+    eg = exp_gamma()
     log2T = iterated_log(T, 2)
     log3T = iterated_log(T, 3)
     new = eg / (ell + 1) * log2T ** (ell + 1)
@@ -460,9 +430,8 @@ def proposition_report(
     products = _euler_fold(spec, ell, prec, range(spec.J + 1))
     s_over = _s_over(products[-1], ell, prec)
     part = _partition_over(products, spec, ell, prec)
-    c = constants(prec)
     logx = rlog(spec.x, prec)
-    target = c.exp_gamma / (ell + 1) * logx ** (ell + 1)
+    target = exp_gamma(prec) / (ell + 1) * logx ** (ell + 1)
     loglogx = rlog(logx, prec)
     budget = (
         real(1, prec) / spec.J

@@ -30,7 +30,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,13 +289,6 @@ def zeta_em_array(
     return (res + _em_tail_terms(flat, cut, em_order)).reshape(s.shape)
 
 
-def zeta_em(
-    s: complex, em_order: int = EM_ORDER, cut: int | None = None
-) -> complex:
-    """zeta(s) by Euler-Maclaurin summation with an internal error bound."""
-    return complex(zeta_em_array(np.array([s]), em_order, cut)[0])
-
-
 # ------------------------------------------------------- Cauchy circles --
 
 def cauchy_ring(ell: int, radius: float, nodes: int):
@@ -308,23 +301,21 @@ def cauchy_ring(ell: int, radius: float, nodes: int):
 
 
 def cauchy_derivative(
-    f: Callable[[np.ndarray], np.ndarray],
-    s0: complex,
-    ell: int,
-    radius: float = RING_RADIUS,
-    nodes: int = RING_NODES,
+    values: np.ndarray, ell: int, radius: float = RING_RADIUS
 ) -> complex:
-    """f^(ell)(s0) by the trapezoid rule on a circle of given radius.
+    """f^(ell)(s0) by the trapezoid rule from ``values``, f at s0 plus the
+    offsets of :func:`cauchy_ring` of the given radius and node count
+    ``values.size``.
 
-    f must accept an array of complex points.  No convergence check here;
-    :func:`zeta_deriv_cauchy` runs the two-grid test.
+    No convergence check here; :func:`zeta_deriv_cauchy` runs the
+    two-grid test.
     """
-    if nodes < 16:
-        raise ValueError(f"need at least 16 nodes, got {nodes}")
+    if values.size < 16:
+        raise ValueError(f"need at least 16 nodes, got {values.size}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    offsets, weights = cauchy_ring(ell, radius, nodes)
-    terms = f(s0 + offsets) * weights
+    _, weights = cauchy_ring(ell, radius, values.size)
+    terms = values * weights
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
@@ -393,7 +384,7 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     the fine rule's there.
     """
     s0 = complex(s0)
-    radius, nodes = RING_RADIUS, 2 * RING_NODES
+    radius = RING_RADIUS
     if abs(s0 - 1.0) <= radius:
         raise ValueError(
             f"circle of radius {radius} around {s0} encloses the pole at 1"
@@ -401,10 +392,8 @@ def zeta_deriv_cauchy(s0: complex, ell: int) -> complex:
     if s0.real - radius <= 0:
         raise ValueError("circle dips into Re(s) <= 0, outside the oracle range")
     vals = _zeta_ring_values(s0.real, s0.imag)
-    fine = cauchy_derivative(lambda s: vals, s0, ell, radius, nodes)
-    coarse = cauchy_derivative(
-        lambda s: vals[::2], s0, ell, radius, nodes // 2
-    )
+    fine = cauchy_derivative(vals, ell, radius)
+    coarse = cauchy_derivative(vals[::2], ell, radius)
     gap = abs(fine - coarse)
     if gap > 1e-8 * max(1.0, abs(fine)):
         raise AccuracyError(

@@ -904,6 +904,29 @@ def test_scan_refuses_T_below_e_e_before_the_grid(capsys, monkeypatch):
     assert "need T > e^e" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--ell 0 --refine --x 30 --b 3",
+     "max resonator element prod_(p <= 30) p^2 exceeds sqrt(T) = 316.2"),
+    ("--ell 200 --x 3 --b 3",
+     "ell=200 exceeds 170: ell! leaves the double range, and the "
+     "certificate is computed in double only"),
+], ids=["sqrt_T", "ell_200"])
+def test_scan_refuses_the_certificate_before_the_grid(
+    capsys, monkeypatch, argv, message
+):
+    # the certificate's refusals came after a 1.6 to 3 s scan and refine
+    def never(T, ell, grid_step):
+        raise AssertionError("grid built for a refused certificate")
+
+    monkeypatch.setattr(rzeta.engine, "scan_samples", never)
+    code, out, err = invoke(
+        capsys, "scan", "--T", "1e5", "--step", "0.06", *argv.split(),
+        "--no-timestamp",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_resonate_at_b_1_folds_no_prime(capsys):
     # M = {1} and every local factor is 1: the jets skip the 664579 primes
     start = time.perf_counter()

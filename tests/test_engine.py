@@ -705,7 +705,7 @@ def test_euler_maclaurin_refusal_has_one_home(monkeypatch):
     monkeypatch.setattr(rzeta.zeta, "_EM_REFUSAL_BOUND", 0.0)
     message = r"Euler-Maclaurin error estimate .* exceeds"
     with pytest.raises(AccuracyError, match=message):
-        rzeta.zeta.zeta_em(2.0)
+        rzeta.zeta.zeta_em_array(2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
         with pytest.raises(AccuracyError, match=message):

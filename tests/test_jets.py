@@ -14,8 +14,10 @@ from rzeta.jets import (
     jet_product,
     local_factor_jet,
 )
-from rzeta.precision import HIGH, real_text
+from rzeta.precision import Precision, real_text
 from rzeta.resonator import ResonatorSpec, S_jet
+
+HIGH = Precision(50)
 
 
 def exp_jet(order, scale=1.0):

@@ -16,14 +16,14 @@ import pytest
 
 import rzeta
 from rzeta.errors import count_text
-from rzeta.precision import DOUBLE, HIGH
+from rzeta.precision import DOUBLE, Precision
 from rzeta.primes import sieve_primes
 from rzeta.resonator import (
     ENUMERATION_CAP,
     ResonatorSpec,
     S_brute,
     S_jet,
-    S_nested,
+    bound_constants,
     enumerate_M,
     layer_product,
     layer_sum,
@@ -36,10 +36,11 @@ from rzeta.resonator import (
     riemann_lower_prefix,
     riemann_sum_bracket,
     s_over_cardinality_jet,
-    weight_w,
     yang_factor,
     _refuse_by_pi_bound,
 )
+
+HIGH = Precision(50)
 
 
 # ---------------------------------------------------------------- oracle --
@@ -67,6 +68,18 @@ def oracle_S(x, b, ell):
                 else:
                     total += math.log(k) ** ell / k
     return total
+
+
+def S_nested(spec: ResonatorSpec, ell: int) -> float:
+    """S(x; l) as the literal double sum over m in M and divisors k | m.
+
+    Oracle route: makes no use of the multiplicity collapse, so it checks
+    both S_brute and S_jet.  Cost |M|^2; small specs only.
+    """
+    elements = enumerate_M(spec)
+    return math.fsum(
+        math.log(k) ** ell / k for m in elements for k in elements if m % k == 0
+    )
 
 
 def oracle_layer(x, b, J, i):
@@ -162,7 +175,7 @@ def test_enumerate_cap_refusal():
 def test_pi_bound_refuses_only_what_the_exact_test_refuses(log2_limit):
     # at each x, the smallest b the bound refuses already has b^pi(x)
     # past the limit: past the cap, or a count float() cannot hold
-    primes = sieve_primes(5000).primes
+    primes = sieve_primes(5000)
 
     def refused(x, b):
         try:
@@ -212,27 +225,6 @@ def test_elements_are_divisors_in_exponent_order():
     ]
     # M is the integers it holds: no element class is exported
     assert not hasattr(rzeta.resonator, "FactoredElement")
-
-
-def test_weights():
-    spec = ResonatorSpec(3, 2)
-    assert weight_w(1, spec) == 4
-    assert weight_w(6, spec) == 1
-    spec3 = ResonatorSpec(3, 3)
-    assert weight_w(4, spec3) == 3  # (3-2) * 3
-    # 0 and -6 are not positive, 4 = 2^2 has v_2 >= b, 5 is not 3-smooth,
-    # 6.0 is not an integer
-    for k in (0, -6, 4, 5, 6.0):
-        with pytest.raises(ValueError):
-            weight_w(k, spec)
-
-
-def test_weight_counts_multiples():
-    # w(k) really counts members of M divisible by k
-    spec = ResonatorSpec(5, 3)
-    elements = enumerate_M(spec)
-    for k in elements:
-        assert weight_w(k, spec) == sum(1 for m in elements if m % k == 0)
 
 
 def test_S_small_values():
@@ -364,6 +356,13 @@ def test_yang_factor():
     assert yang_factor(10) == pytest.approx(1.1**10, rel=1e-12)
     with pytest.raises(ValueError):
         yang_factor(0)
+
+
+@pytest.mark.parametrize("ell", [-1, -2])
+def test_bound_constants_refuses_negative_ell(ell):
+    # -1 divided by zero in e^gamma/(l+1); -2 returned negative constants
+    with pytest.raises(ValueError, match=f"ell must be >= 0, got {ell}"):
+        bound_constants(ell, 1e4)
 
 
 def test_yang_factor_increasing_below_e():

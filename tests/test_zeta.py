@@ -26,7 +26,6 @@ from rzeta.zeta import (
     dirichlet_poly,
     dirichlet_terms,
     zeta_deriv_cauchy,
-    zeta_em,
     zeta_em_array,
 )
 
@@ -89,35 +88,35 @@ def test_evalpoint_advisory_warning():
 
 
 def test_zeta_em_classics():
-    assert zeta_em(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
-    assert zeta_em(4.0) == pytest.approx(math.pi**4 / 90, abs=1e-12)
+    assert zeta_em_array(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
+    assert zeta_em_array(4.0) == pytest.approx(math.pi**4 / 90, abs=1e-12)
 
 
 def test_zeta_em_self_consistency():
     s = 1 + 10j
-    a = zeta_em(s, em_order=12, cut=256)
-    b = zeta_em(s, em_order=24, cut=512)
+    a = zeta_em_array(s, em_order=12, cut=256)
+    b = zeta_em_array(s, em_order=24, cut=512)
     assert abs(a - b) < 1e-10
 
 
 def test_zeta_em_rejects_pole_and_left_halfplane():
     with pytest.raises(ValueError):
-        zeta_em(1.0 + 0j)
+        zeta_em_array(1.0 + 0j)
     with pytest.raises(ValueError):
-        zeta_em(-0.5 + 3j)
+        zeta_em_array(-0.5 + 3j)
 
 
 def test_zeta_em_refuses_divergent_tail():
     # cut far too small for this height: the internal bound must trip
     with pytest.raises(AccuracyError):
-        zeta_em(1 + 500j, em_order=4, cut=8)
+        zeta_em_array(1 + 500j, em_order=4, cut=8)
 
 
 def test_zeta_em_array_matches_scalar():
     s = np.array([2.0 + 0j, 1 + 10j, 0.8 + 25j])
     arr = zeta_em_array(s, em_order=14, cut=2048)
     for sv, av in zip(s, arr):
-        assert zeta_em(complex(sv), em_order=14, cut=2048) == pytest.approx(
+        assert zeta_em_array(sv, em_order=14, cut=2048) == pytest.approx(
             av, abs=1e-13
         )
 
@@ -126,8 +125,8 @@ def test_zeta_em_halved_steps_stable():
     gen = LinearGenerator(5)
     for _ in range(50):
         t = 10 + (10**4 - 10) * gen.uniform()
-        a = zeta_em(1 + 1j * t)
-        b = zeta_em(1 + 1j * t, em_order=16, cut=2 * _em_cut(t))
+        a = zeta_em_array(1 + 1j * t)
+        b = zeta_em_array(1 + 1j * t, em_order=16, cut=2 * _em_cut(t))
         assert abs(a - b) <= 1e-9
 
 
@@ -138,8 +137,9 @@ def _em_cut(t):
 
 
 def test_cauchy_on_exp():
+    offsets, _ = cauchy_ring(0, 0.5, 32)
     for ell in (0, 1, 3):
-        d = cauchy_derivative(np.exp, 0.0, ell, radius=0.5, nodes=32)
+        d = cauchy_derivative(np.exp(offsets), ell, radius=0.5)
         assert d == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,9 +149,10 @@ def test_cauchy_exact_on_polynomials():
     def poly(z):
         return sum(c * z**k for k, c in enumerate(coeffs))
 
+    offsets, _ = cauchy_ring(0, 0.7, 64)
     for ell in range(6):
         expected = math.factorial(ell) * coeffs[ell]
-        got = cauchy_derivative(poly, 0.0, ell, radius=0.7, nodes=64)
+        got = cauchy_derivative(poly(offsets), ell, radius=0.7)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -178,9 +179,10 @@ def test_zeta_deriv_cauchy_refuses_two_grid_gap_near_pole():
     # 0.05 from the circle to the pole: 64 and 128 nodes disagree, and
     # the reported gap is the gap between the two plain trapezoid rules
     s0 = 1.3 + 0j
+    fine, coarse = (s0 + cauchy_ring(0, 0.25, n)[0] for n in (128, 64))
     gap = abs(
-        cauchy_derivative(zeta_em_array, s0, 0, nodes=128)
-        - cauchy_derivative(zeta_em_array, s0, 0, nodes=64)
+        cauchy_derivative(zeta_em_array(fine), 0)
+        - cauchy_derivative(zeta_em_array(coarse), 0)
     )
     assert gap > 1e-8
     with pytest.raises(AccuracyError, match=f"{gap:.3e}"):
@@ -204,8 +206,8 @@ def test_coarse_check_is_the_even_nodes_of_the_fine_ring(monkeypatch):
     value = zeta_deriv_cauchy(s0, ell)
     monkeypatch.undo()
     ring = _zeta_ring_values(s0.real, s0.imag)
-    fine = cauchy_derivative(lambda z: ring, s0, ell, nodes=2 * n)
-    from_even = cauchy_derivative(lambda z: ring[::2], s0, ell, nodes=n)
+    fine = cauchy_derivative(ring, ell)
+    from_even = cauchy_derivative(ring[::2], ell)
     assert value == fine == rules[0]
     assert from_even == rules[1]
     # zeta_em_array rounds each phase Im(s) log n, about 700 * 6 * 2^-53
@@ -343,7 +345,7 @@ def test_euler_maclaurin_memory_is_bounded_by_its_block():
     # 7e5 it peaked at 33.6 MB when n and log n were formed at full length
     tracemalloc.start()
     try:
-        value = zeta_em(1 + 2e6j)
+        value = zeta_em_array(1 + 2e6j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
