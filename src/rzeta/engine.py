@@ -59,6 +59,7 @@ from .resonator import (
     s_over_cardinality_jet,
 )
 from .zeta import coefficients_at, dirichlet_coefficients, dirichlet_terms
+from .zeta import taylor_coefficients
 # unused here; perfbench's tracer patches engine._em_tail_terms and
 # engine.integrate_refine (drop both with the tracer's patches)
 from .quadrature import integrate_refine  # noqa: F401
@@ -349,8 +350,6 @@ def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
     moment the window sum T * sum c_n phihat(T log(n m'/m)) over
     |xi| < PHI_BAND, with c_n read only at the n in the window.  0 for
     T < 1, where P is empty.  Warns when max M exceeds sqrt(T)."""
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
     terms = dirichlet_terms(T, ell)
     elements = _resonator(spec, T)
     _warn_if_peak_large(spec, T, stacklevel=3)
@@ -421,25 +420,6 @@ class ScanReport:
     refined: bool
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximization of a unimodal-ish bracket, 40 steps."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(40):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def scan_max(
     T: float,
     ell: int,
@@ -450,9 +430,12 @@ def scan_max(
     """Grid maximum of |P(t)| over [T, 2T] with optional local refinement.
 
     The grid is :func:`scan_samples`'s.  Ties in the grid maximum resolve
-    to the smallest t.  Every refusal comes before the grid is built: a
-    T <= e^e, where the bound constants are undefined, and with a
-    ``spec`` the certificate's, whose ratio is computed first.
+    to the smallest t.  Refinement maximises |P| within a step of each of
+    the 10 largest samples on P's :func:`taylor_coefficients` model
+    there, a 257-point grid narrowed four times around its maximum.
+    Every refusal comes before the grid is built: a T <= e^e, where the
+    bound constants are undefined, and with a ``spec`` the
+    certificate's, whose ratio is computed first.
     """
     _check_scan(T, ell, grid_step)
     theo, yang = bound_constants(ell, T)
@@ -465,19 +448,17 @@ def scan_max(
     best_v = float(values[top])
 
     if refine:
-        logn, coeffs = dirichlet_coefficients(T, ell)
-
-        def amplitude(t):
-            return float(
-                np.abs(np.sum(coeffs * np.exp(-1j * t * logn)))
-            )
-
-        order = np.argsort(values)[::-1][:10]
-        for idx in order:
+        for idx in np.argsort(values)[::-1][:10]:
             center = float(t_grid[idx])
-            lo = max(T, center - step)
-            hi = min(2 * T, center + step)
-            t_star, v_star = _golden_max(amplitude, lo, hi)
+            model = taylor_coefficients(T, ell, center)[::-1]
+            lo = max(T, center - step) - center
+            hi = min(2 * T, center + step) - center
+            for _ in range(4):
+                h = np.linspace(lo, hi, 257)
+                amplitude = np.abs(np.polyval(model, h))
+                j = int(np.argmax(amplitude))
+                lo, hi = h[max(j - 1, 0)], h[min(j + 1, h.size - 1)]
+            t_star, v_star = center + float(h[j]), float(amplitude[j])
             if v_star > best_v or (v_star == best_v and t_star < best_t):
                 best_t, best_v = t_star, v_star
 
@@ -511,9 +492,9 @@ def scan_samples(T: float, ell: int, grid_step: float):
 
 def _check_scan(T: float, ell: int, grid_step: float) -> None:
     """Refuses a scan's inputs before any work: T < 2, a step that is not
-    finite and positive or above pi/(4 log T), ell < 0, a grid of more
-    than MAX_SCAN_POINTS points, or a P that :func:`dirichlet_terms`
-    refuses."""
+    finite and positive or above pi/(4 log T), a grid of more than
+    MAX_SCAN_POINTS points, or a P that :func:`dirichlet_terms` refuses
+    (ell < 0 among them)."""
     if T < 2:
         raise ValueError(f"need T >= 2, got {T}")
     if not (math.isfinite(grid_step) and grid_step > 0):
@@ -526,8 +507,6 @@ def _check_scan(T: float, ell: int, grid_step: float) -> None:
             f"grid_step {grid_step:.4g} too coarse: needs <= pi/(4 log T) = "
             f"{step_cap:.4g}"
         )
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
     points = T / grid_step + 1  # a float, inf for a subnormal step
     if points > MAX_SCAN_POINTS:
         raise ValueError(

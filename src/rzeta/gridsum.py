@@ -1,10 +1,10 @@
 """Fast evaluation of exponential sums on uniform grids.
 
-Everything expensive in this package reduces to
+``scan``'s grid, and the tests' quadrature reference, evaluate
 
     S(t) = sum_n c_n * exp(-i * t * omega_n)
 
-evaluated at many equally spaced t = t0 + k*dt.  For a uniform grid the
+at many equally spaced t = t0 + k*dt.  For a uniform grid the
 integer mode structure e^(-i*t*omega) = e^(-i*t0*omega) * e^(-i*k*(dt*omega))
 turns this into a type-1 nonuniform FFT: spread each source phase onto an
 oversampled uniform grid with a truncated Gaussian kernel, FFT, and

@@ -57,6 +57,10 @@ _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 # The polynomial's block of n at one height (about 100 bytes per n).
 _POLY_BLOCK = 4096
 
+# Order K of P's local Taylor model: within a scan step, pi/(4 log T), of
+# t0 the omitted terms sum to below (pi/4)^19/19! sum c_n = 8e-20 sum c_n.
+TAYLOR_ORDER = 18
+
 # The ring head's block of n (under 2 kB of temporaries per n at 128 nodes)
 # and 2 pi to long-double precision, as a double plus its rounding error.
 _HEAD_BLOCK = 2048
@@ -120,12 +124,14 @@ def _double_range_refusal(terms: int, ell: int) -> ValueError:
 
 
 def dirichlet_terms(cutoff: float, ell: int) -> int:
-    """floor(cutoff), the term count of P, after refusing more than
-    MAX_SUM_TERMS terms or an ell whose coefficients (log n)^l/n, or
+    """floor(cutoff), the term count of P, after refusing ell < 0, more
+    than MAX_SUM_TERMS terms, or an ell whose coefficients (log n)^l/n, or
     their sum, leave the double range.  Decided in log space, without
     the coefficients: (log n)^l is largest at n = N = floor(cutoff), and
     the sum of the unimodal terms is at most (log N)^(l+1)/(l+1) plus
     the largest term, at n = e^l or at N."""
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
     terms = math.floor(cutoff)
     if terms > MAX_SUM_TERMS:
         raise ValueError(
@@ -191,6 +197,21 @@ def dirichlet_poly(point: EvalPoint) -> complex:
     return exp_sum_at(
         lambda: _coefficient_blocks(terms, point.ell, _POLY_BLOCK), point.t
     )
+
+
+def taylor_coefficients(cutoff: float, ell: int, t0: float) -> np.ndarray:
+    """a_0..a_K, K = TAYLOR_ORDER, with P(t0 + h) = sum_k a_k h^k up to
+    (|h| log N)^(K+1)/(K+1)! sum c_n: a_k = sum c_n n^(-i t0) (-i log n)^k
+    / k!, from one blocked pass (Odlyzko & Schoenhage, Trans. AMS 1988)."""
+    terms = dirichlet_terms(cutoff, ell)
+    moments = np.zeros(TAYLOR_ORDER + 1, dtype=np.complex128)
+    for logn, coeffs in _coefficient_blocks(terms, ell, _POLY_BLOCK):
+        weighted = coeffs * np.exp(-1j * t0 * logn)  # the terms of P at t0
+        for k in range(TAYLOR_ORDER + 1):
+            moments[k] += weighted.sum()  # sum c_n n^(-i t0) (log n)^k
+            weighted *= logn
+    k = np.arange(TAYLOR_ORDER + 1)
+    return moments * (-1j) ** k / np.cumprod(np.maximum(k, 1))  # (-i)^k/k!
 
 
 # ------------------------------------------------------- Euler-Maclaurin --

@@ -308,6 +308,20 @@ def test_scan_certificate_is_resonate_ratio(capsys):
     assert "scan needs both --x and --b, or neither" in err
 
 
+def test_scan_refines_above_ell_8(capsys):
+    # EvalPoint, and with it dirichlet_poly, refuses ell > 8; the
+    # refinement reads P's Taylor model, which takes any ell the grid does
+    scan = ("scan", "--T", "2e4", "--ell", "9", "--step", "0.068")
+    code, out, err = invoke(capsys, *scan, "--no-timestamp")
+    assert code == 0, err
+    grid = json.loads(out)
+    code, out, err = invoke(capsys, *scan, "--refine", "--no-timestamp")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["refined"] and doc["ell"] == 9
+    assert doc["max_value"] >= grid["max_value"]
+
+
 def test_scan_csv_rejects_negative_ell(capsys):
     code, out, err = invoke(
         capsys,

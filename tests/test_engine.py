@@ -653,6 +653,29 @@ def test_scan_deterministic_and_refine_monotone():
     assert r.max_value >= a.max_value
 
 
+def test_scan_refines_on_the_taylor_model_of_P(monkeypatch):
+    # the grid's coefficient array is the only one a refined scan builds,
+    # and the refined maximum is |P| at a local maximum, from the exact sum
+    built = []
+    coefficients = rzeta.engine.dirichlet_coefficients
+
+    def counted(*args):
+        built.append(args)
+        return coefficients(*args)
+
+    monkeypatch.setattr(rzeta.engine, "dirichlet_coefficients", counted)
+    T = 2e4
+    grid = scan_max(T, 1, 0.068)
+    report = scan_max(T, 1, 0.068, refine=True)
+    assert built == [(T, 1), (T, 1)]
+    assert report.max_value > grid.max_value
+    exact = abs(dirichlet_poly(EvalPoint(report.argmax_t, 1, T)))
+    assert report.max_value == pytest.approx(exact, rel=1e-11)
+    for offset in (-1e-4, 1e-4):
+        point = EvalPoint(report.argmax_t + offset, 1, T)
+        assert abs(dirichlet_poly(point)) < exact
+
+
 def test_scan_samples_max_consistency():
     t, v = scan_samples(1200.0, 0, 0.1)
     rep = scan_max(1200.0, 0, 0.1)

@@ -25,6 +25,7 @@ from rzeta.zeta import (
     dirichlet_coefficients,
     dirichlet_poly,
     dirichlet_terms,
+    taylor_coefficients,
     zeta_deriv_cauchy,
     zeta_em_array,
 )
@@ -289,6 +290,45 @@ def test_dirichlet_coefficients_refuse_the_double_range():
             dirichlet_coefficients(2e4, 400)
         logn, coeffs = dirichlet_coefficients(2e4, 170)
     assert np.all(np.isfinite(coeffs))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [dirichlet_terms, dirichlet_coefficients,
+     lambda T, ell: taylor_coefficients(T, ell, 1.5 * T)],
+    ids=["terms", "coefficients", "taylor"],
+)
+def test_negative_ell_is_refused_before_any_coefficient(build):
+    # (log n)^-1/n divided by zero at n = 1 with a numpy warning, and was
+    # then refused as leaving the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ell must be >= 0, got -1$"):
+            build(100, -1)
+
+
+@pytest.mark.parametrize("T", [1e3, 2e4, 1e5])
+def test_taylor_model_matches_the_exact_sum_within_its_bound(T):
+    # 20 seeded (t0, h) with |h| <= pi/(4 log T), a scan step: the bound
+    # is the phase rounding of both routes plus the model's truncation
+    step = math.pi / (4 * math.log(T))
+    gen = LinearGenerator(27)
+    for i in range(20):
+        ell = (0, 1, 2, 9)[i % 4]
+        logn, coeffs = dirichlet_coefficients(T, ell)
+        t0 = T * (1 + gen.uniform())
+        t = t0 + step * (2 * gen.uniform() - 1)
+        a = taylor_coefficients(T, ell, t0)
+        assert a.shape == (19,)
+        if ell <= 8:
+            exact = dirichlet_poly(EvalPoint(t, ell, T))
+        else:  # EvalPoint refuses ell > 8
+            exact = np.sum(coeffs * np.exp(-1j * t * logn))
+        rounding = math.fsum(coeffs * (t * logn + 4)) * 2**-53
+        truncation = (math.pi / 4) ** 19 / math.factorial(19) * sum(coeffs)
+        assert abs(np.polyval(a[::-1], t - t0) - exact) <= (
+            rounding + truncation
+        )
 
 
 @pytest.mark.parametrize(
