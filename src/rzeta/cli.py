@@ -10,17 +10,16 @@ the payload as JSON or CSV and writes it once, to stdout or
 Exit codes: 0 success, 1 validation error or an unwritable output,
 2 numerical-accuracy failure.
 
-Importing this module loads the standard library, ``errors`` and
-``precision`` only, and no numpy.  Each subcommand imports what it runs
-inside its body: ``zeta`` loads ``zeta`` and ``gridsum``; ``sieve``
-loads ``primes``; ``ssum``, ``prop`` and ``factors`` load ``resonator``
-(with ``jets`` and ``primes``); ``resonate`` and ``scan`` load
-``engine``.  So ``--help`` and a refused argument finish without any of
-them.  mpmath loads only under ``--precision``, and ``csv`` only for
-``--csv``.
+Importing this module loads ``argparse``, ``json``, ``errors`` and
+``precision``, and nothing else that the interpreter has not loaded at
+start-up: no numpy, and the timestamp comes from ``time``.  Each
+subcommand imports what it runs inside its body: ``zeta`` loads
+``zeta`` and ``gridsum``; ``sieve`` loads ``primes``; ``ssum``,
+``prop`` and ``factors`` load ``resonator`` (with ``jets`` and
+``primes``); ``resonate`` and ``scan`` load ``engine``.  So ``--help``
+and a refused argument finish without any of them.  mpmath loads only
+under ``--precision``, and ``csv`` only for ``--csv``.
 """
-
-from __future__ import annotations
 
 import argparse
 import importlib
@@ -28,9 +27,8 @@ import io
 import json
 import math
 import sys
+import time
 import warnings
-from dataclasses import asdict
-from datetime import datetime, timezone
 
 from .errors import AccuracyError
 from .precision import (
@@ -85,6 +83,16 @@ def height(text: str) -> float:
     return value
 
 
+def _utc_now() -> str:
+    """The current UTC time in the text form of
+    ``datetime.now(timezone.utc).isoformat()``, microseconds truncated
+    and omitted when zero, without importing datetime."""
+    seconds, nanos = divmod(time.time_ns(), 10**9)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    micros = nanos // 1000
+    return f"{text}.{micros:06d}+00:00" if micros else f"{text}+00:00"
+
+
 def _render(payload, args, prec: Precision) -> str:
     """A subcommand's payload as text: a dict as JSON, a (header, rows)
     pair as CSV."""
@@ -98,8 +106,7 @@ def _render(payload, args, prec: Precision) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     if not args.no_timestamp:
-        now = datetime.now(timezone.utc).isoformat()
-        payload = {**payload, "timestamp": now}
+        payload = {**payload, "timestamp": _utc_now()}
     # a high-precision real is the one non-JSON type a payload holds
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                       default=lambda value: real_text(value, prec)) + "\n"
@@ -144,7 +151,7 @@ def _cmd_prop(args, prec):
     spec = ResonatorSpec(args.x, args.b, args.J)
     rep = proposition_report(spec, args.ell, prec)
     doc = {"x": args.x, "b": args.b, "J": args.J, "ell": args.ell}
-    doc.update(asdict(rep))
+    doc.update(rep._asdict())
     return doc
 
 
@@ -177,7 +184,7 @@ def _cmd_resonate(args, prec):
     spec = ResonatorSpec(args.x, args.b)
     cert = certificate(spec, args.T, args.ell)
     doc = {"x": args.x, "b": args.b, "T": args.T, "ell": args.ell}
-    doc.update(asdict(cert))
+    doc.update(cert._asdict())
     return doc
 
 
@@ -195,7 +202,7 @@ def _cmd_scan(args, prec):
             raise ValueError("scan needs both --x and --b, or neither")
         spec = ResonatorSpec(args.x, args.b)
     report = scan_max(args.T, args.ell, args.step, refine=args.refine, spec=spec)
-    return asdict(report)
+    return report._asdict()
 
 
 def comparison_rows(ell_max: int, T: float) -> list[dict]:

@@ -43,7 +43,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,8 +197,7 @@ def bump_decay_constant(
 
 # --------------------------------------------------- theorem parameters --
 
-@dataclass(frozen=True)
-class TheoremParameters:
+class TheoremParameters(NamedTuple):
     """The asymptotic parameter choices, clamped to usable values."""
 
     T: float
@@ -358,8 +357,7 @@ def moment_M2(spec: ResonatorSpec, T: float, ell: int) -> complex:
 
 # ------------------------------------------------------------ certificate --
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     ratio: float
     rhs_prediction: float
     M1: float
@@ -406,8 +404,7 @@ def certificate(spec: ResonatorSpec, T: float, ell: int) -> Certificate:
 
 # ------------------------------------------------------------------- scan --
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     T: float
     ell: int
     grid_step: float

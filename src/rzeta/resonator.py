@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +45,7 @@ from .jets import (
     local_factor_jet,
     refuse_double_order,
 )
-from .precision import DOUBLE, Precision, exp_gamma, real, rlog
+from .precision import DOUBLE, Frozen, Precision, exp_gamma, real, rlog
 from .primes import MAX_SIEVE_LIMIT, iterated_log
 
 ENUMERATION_CAP = 10**6
@@ -62,23 +61,20 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
     return sieve_primes(limit)
 
 
-@dataclass(frozen=True)
-class ResonatorSpec:
+class ResonatorSpec(Frozen):
     """Parameters (x, b, J): smoothness bound, exponent bound + 1, layers."""
 
-    x: float
-    b: int
-    J: int = 1
+    _fields = ("x", "b", "J")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x >= 2):
-            raise ValueError(f"x must be finite and >= 2, got {self.x}")
-        for name in ("b", "J"):
-            value = getattr(self, name)
+    def __init__(self, x: float, b: int, J: int = 1):
+        if not (math.isfinite(x) and x >= 2):
+            raise ValueError(f"x must be finite and >= 2, got {x}")
+        for name, value in (("b", b), ("J", J)):
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(
                     f"{name} must be an integer >= 1, got {value!r}"
                 )
+        self._init(x, b, J)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -407,8 +403,7 @@ def bound_constants(ell: int, T: float) -> tuple[float, float]:
     return new, yang
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """Normalized sum vs its asymptotic target, with the error budget."""
 
     S_over_M: float

@@ -29,13 +29,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError, count_text
 from .gridsum import exp_sum_at
+from .precision import Frozen
 
 MAX_DERIVATIVE_ORDER = 8
 
@@ -77,25 +77,19 @@ class RangeAdvisory(UserWarning):
     approximate the zeta derivative (advisory only)."""
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(Frozen):
     """A height t, derivative order, and polynomial cutoff T."""
 
-    t: float
-    ell: int
-    cutoff: float
+    _fields = ("t", "ell", "cutoff")
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
-        if not (math.isfinite(self.cutoff) and self.cutoff >= 1):
-            raise ValueError(
-                f"cutoff must be finite and >= 1, got {self.cutoff}"
-            )
-        if not 0 <= self.ell <= MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"ell={self.ell} outside [0, {MAX_DERIVATIVE_ORDER}]"
-            )
+    def __init__(self, t: float, ell: int, cutoff: float):
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if not (math.isfinite(cutoff) and cutoff >= 1):
+            raise ValueError(f"cutoff must be finite and >= 1, got {cutoff}")
+        if not 0 <= ell <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"ell={ell} outside [0, {MAX_DERIVATIVE_ORDER}]")
+        self._init(t, ell, cutoff)
 
     def warn_if_off_range(self):
         T = self.cutoff

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import warnings
+from datetime import datetime, timedelta, timezone
 
 import mpmath
 import pytest
@@ -85,7 +87,14 @@ def test_byte_identical_reruns(capsys):
 def test_timestamp_present_by_default(capsys):
     code, out, _ = invoke(capsys, "sieve", "--limit", "30")
     assert code == 0
-    assert "timestamp" in json.loads(out)
+    # the text form of datetime.now(timezone.utc).isoformat()
+    stamp = json.loads(out)["timestamp"]
+    assert re.fullmatch(
+        r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp
+    )
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset() == timedelta(0)
+    assert abs(when - datetime.now(timezone.utc)) < timedelta(seconds=60)
 
 
 def test_sieve_payload(capsys):
@@ -556,7 +565,9 @@ def test_cli_import_leaves_scipy_out():
 # the exit code, which of the watched modules are then loaded, and the
 # output.
 _COLD_START = """
-import contextlib, io, json, sys
+import sys
+start = set(sys.modules)
+import contextlib, io, json
 from rzeta import cli
 lazy = {"mpmath", "fractions", "csv", "numpy"} | {
     f"rzeta.{name}" for name in (
@@ -564,12 +575,18 @@ lazy = {"mpmath", "fractions", "csv", "numpy"} | {
         "quadrature",
     )
 }
-report = [["import", 0, sorted(lazy & set(sys.modules)), ""]]
+# start-up costs, watched only when new since the interpreter started,
+# as a site hook may preload them
+watched = {"dataclasses", "inspect", "datetime"}
+def loaded():
+    now = set(sys.modules)
+    return sorted(lazy & now), sorted(watched & (now - start))
+report = [["import", 0, *loaded(), ""]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.run(argv.split() + ["--no-timestamp"])
-    report.append([argv, code, sorted(lazy & set(sys.modules)), out.getvalue()])
+    report.append([argv, code, *loaded(), out.getvalue()])
 print(json.dumps(report))
 """
 
@@ -591,7 +608,9 @@ _PROP_50 = {
 def test_double_precision_commands_leave_mpmath_unloaded():
     # each module loads only where used: numpy and the numerical modules
     # for the subcommand that runs them, mpmath for --precision, csv for
-    # --csv; --help and a refused argument load none of them
+    # --csv; --help and a refused argument load none of them, nor
+    # dataclasses, inspect or datetime (numpy loads the last two itself),
+    # and no command loads dataclasses
     argvs = [
         "--help",
         "zeta --T -1 --t 5 --ell 0",
@@ -610,7 +629,7 @@ def test_double_precision_commands_leave_mpmath_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert [(argv, code) for argv, code, _, _ in report] == [
+    assert [(argv, code) for argv, code, _, _, _ in report] == [
         ("import", 0), ("--help", 0), (argvs[1], 1)
     ] + [(argv, 0) for argv in argvs[2:]]
     zeta = ["numpy", "rzeta.gridsum", "rzeta.zeta"]
@@ -618,12 +637,15 @@ def test_double_precision_commands_leave_mpmath_unloaded():
     numeric = sorted(sieve + [
         "rzeta.engine", "rzeta.jets", "rzeta.quadrature", "rzeta.resonator"
     ])
-    loaded = [modules for _, _, modules, _ in report]
+    loaded = [modules for _, _, modules, _, _ in report]
     assert loaded == [
         [], [], [], zeta, sieve, numeric,
         sorted(numeric + ["csv"]), sorted(numeric + ["csv", "mpmath"]),
     ]
-    assert json.loads(report[-1][3]) == _PROP_50
+    watched = [modules for _, _, _, modules, _ in report]
+    assert watched[:3] == [[], [], []]
+    assert not any("dataclasses" in modules for modules in watched)
+    assert json.loads(report[-1][4]) == _PROP_50
 
 
 def _match(got, want, path="payload"):

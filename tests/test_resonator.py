@@ -8,6 +8,7 @@ literally, with no multiplicity collapse and no Euler products.
 import bisect
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from rzeta.resonator import (
     yang_factor,
     _refuse_by_pi_bound,
 )
+from rzeta.zeta import EvalPoint
 
 HIGH = Precision(50)
 
@@ -211,6 +213,34 @@ def test_spec_rejects_non_finite_x(x):
 def test_spec_rejects_non_integer_b_and_J(b, J):
     with pytest.raises(ValueError, match="integer"):
         ResonatorSpec(3, b, J)
+
+
+@pytest.mark.parametrize(
+    "build, field, refused, message",
+    [
+        (lambda: Precision(50), "digits", lambda: Precision(49),
+         "high-precision mode requires 50 to 1000 digits, got 49"),
+        (lambda: ResonatorSpec(3, 3), "x", lambda: ResonatorSpec(3, 0),
+         "b must be an integer >= 1, got 0"),
+        (lambda: EvalPoint(1.5e4, 1, 1e4), "t",
+         lambda: EvalPoint(1.5e4, 9, 1e4), "ell=9 outside [0, 8]"),
+    ],
+    ids=["Precision", "ResonatorSpec", "EvalPoint"],
+)
+def test_value_types_are_frozen_and_equal_by_value(
+    build, field, refused, message
+):
+    value = build()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 60)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+    twin = build()
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()
 
 
 def test_elements_are_divisors_in_exponent_order():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from rzeta.resonator import ResonatorSpec
 from rzeta.zeta import (
     EvalPoint,
     _bernoulli_table,
+    _coefficient_blocks,
     RING_NODES,
     LinearGenerator,
     _zeta_ring_values,
@@ -290,6 +292,16 @@ def test_dirichlet_coefficients_refuse_the_double_range():
             dirichlet_coefficients(2e4, 400)
         logn, coeffs = dirichlet_coefficients(2e4, 170)
     assert np.all(np.isfinite(coeffs))
+
+
+def test_coefficient_blocks_refuse_a_sum_past_the_double_range():
+    # dirichlet_terms refuses such an ell in log space first, so only a
+    # direct call reaches the check made after the last block
+    with pytest.raises(
+        ValueError,
+        match=re.escape("(log n)^400/n for n <= 1000000 leave the double"),
+    ):
+        list(_coefficient_blocks(10**6, 400, 4096))
 
 
 @pytest.mark.parametrize(
