@@ -14,7 +14,7 @@ Importing this module loads ``argparse``, ``json``, ``errors`` and
 ``precision``, and nothing else that the interpreter has not loaded at
 start-up: no numpy, and the timestamp comes from ``time``.  Each
 subcommand imports what it runs inside its body: ``zeta`` loads
-``zeta`` and ``gridsum``; ``sieve`` loads ``primes``; ``ssum``,
+``zeta``; ``sieve`` loads ``primes``; ``ssum``,
 ``prop`` and ``factors`` load ``resonator`` (with ``jets`` and
 ``primes``); ``resonate`` and ``scan`` load ``engine``.  So ``--help``
 and a refused argument finish without any of them.  mpmath loads only

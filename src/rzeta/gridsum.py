@@ -18,7 +18,6 @@ reference the tests compare both routes against; no caller routes to it.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -43,27 +42,6 @@ def next_smooth(n: int) -> int:
     bits = n.bit_length() + 1  # every 3^i 5^j below 2n has i, j < bits
     odd = (3**i * 5**j for i in range(bits) for j in range(bits))
     return min(p << ((n - 1) // p).bit_length() for p in odd)
-
-
-def exp_sum_at(blocks, t: float) -> complex:
-    """S(t) at a single t, each component the exactly rounded math.fsum
-    of its terms.  ``blocks()`` returns an iterable of (omega, c) array
-    pairs that together hold the sources.  It is called once per
-    component, so a caller that yields its blocks lazily holds one block
-    at a time, and forms each block's terms twice."""
-
-    def parts(component):
-        for omega, coeffs in blocks():
-            phase = -t * np.asarray(omega, dtype=np.float64)
-            vals = np.asarray(coeffs) * np.exp(1j * phase)
-            # fsum reads a list of floats about twice as fast as an array
-            yield getattr(vals, component).tolist()
-
-    real, imag = (
-        math.fsum(itertools.chain.from_iterable(parts(component)))
-        for component in ("real", "imag")
-    )
-    return complex(real, imag)
 
 
 def _direct_grid(omega, coeffs, t0, dt, count):

@@ -5,9 +5,9 @@ The fast route is the truncated Dirichlet polynomial
     P(t) = sum_{n <= T} (log n)^l / n^(1+it),
 
 which approximates (-1)^l zeta^(l)(1+it) with error O((log log T)^l) for
-T <= t <= 2T and l up to (log T)/(log log T).  At one height it is summed
-over n in blocks, each component the exactly rounded fsum of all its
-terms, so its memory does not grow with T.  The oracle route is
+T <= t <= 2T and l up to (log T)/(log log T).  At one height its terms
+are formed once, in blocks of n, so its memory does not grow with T, and
+both its value and its local Taylor model sum them.  The oracle route is
 Euler-Maclaurin evaluation of zeta itself plus Cauchy-circle
 differentiation (trapezoid on a circle around s0, exponentially accurate
 for analytic integrands, with a mandatory two-grid agreement check).
@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, count_text
-from .gridsum import exp_sum_at
 from .precision import Frozen
 
 MAX_DERIVATIVE_ORDER = 8
@@ -175,22 +174,32 @@ def dirichlet_coefficients(cutoff: float, ell: int):
     return arrays
 
 
-def dirichlet_poly(point: EvalPoint) -> complex:
-    """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), each component the
-    exactly rounded fsum of its terms.  n runs in blocks of
-    _POLY_BLOCK, so the working memory does not grow with T."""
-    terms = dirichlet_terms(point.cutoff, point.ell)
+def _terms_at(terms: int, ell: int, t: float):
+    """(log n, c_n exp(-i t log n)) for n <= terms, in ascending blocks of
+    _POLY_BLOCK n: the terms of P at t, formed here and nowhere else.
+    Refuses, before the first block, a t whose phases keep no digit."""
     # past 2^53 rad the spacing of doubles is 2 rad: no digit of the
-    # phase t log n survives
-    phase = abs(point.t) * math.log(terms)
-    if phase >= 2.0**53:
+    # phase t log n survives; a NaN or infinite t has none either
+    phase = abs(t) * math.log(max(terms, 1))
+    if not phase < 2.0**53:
         raise ValueError(
-            f"t = {point.t:g} leaves no digit of the phase at N = "
+            f"t = {t:g} leaves no digit of the phase at N = "
             f"{terms} terms: |t| log N = {phase:.3g} >= 2^53"
         )
-    return exp_sum_at(
-        lambda: _coefficient_blocks(terms, point.ell, _POLY_BLOCK), point.t
-    )
+    for logn, coeffs in _coefficient_blocks(terms, ell, _POLY_BLOCK):
+        yield logn, coeffs * np.exp(-1j * t * logn)
+
+
+def dirichlet_poly(point: EvalPoint) -> complex:
+    """sum_{n <= T} (log n)^l n^(-1) exp(-i t log n), pairwise within each
+    block of _POLY_BLOCK n and in order across blocks, so the working
+    memory does not grow with T.  Equal, bit for bit, to the a_0 of
+    :func:`taylor_coefficients` at t."""
+    terms = dirichlet_terms(point.cutoff, point.ell)
+    total = 0j
+    for _, values in _terms_at(terms, point.ell, point.t):
+        total += values.sum()
+    return complex(total)
 
 
 def taylor_coefficients(cutoff: float, ell: int, t0: float) -> np.ndarray:
@@ -199,8 +208,7 @@ def taylor_coefficients(cutoff: float, ell: int, t0: float) -> np.ndarray:
     / k!, from one blocked pass (Odlyzko & Schoenhage, Trans. AMS 1988)."""
     terms = dirichlet_terms(cutoff, ell)
     moments = np.zeros(TAYLOR_ORDER + 1, dtype=np.complex128)
-    for logn, coeffs in _coefficient_blocks(terms, ell, _POLY_BLOCK):
-        weighted = coeffs * np.exp(-1j * t0 * logn)  # the terms of P at t0
+    for logn, weighted in _terms_at(terms, ell, t0):
         for k in range(TAYLOR_ORDER + 1):
             moments[k] += weighted.sum()  # sum c_n n^(-i t0) (log n)^k
             weighted *= logn

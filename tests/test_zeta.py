@@ -415,3 +415,48 @@ def test_long_double_carries_the_oracle_phase():
         "the oracle's phase accuracy needs a long double with a 64-bit "
         f"significand or wider; this platform has {np.finfo(np.longdouble)}"
     )
+
+
+@pytest.mark.parametrize("T", [1e3, 3 * 4096 + 1, 1e5])
+def test_taylor_model_at_its_center_is_the_polynomial(T):
+    # one evaluator: a_0 and P sum the same terms in the same order
+    for ell in (0, 2, 8):
+        for t in (1.5 * T + 0.3, -1.5 * T - 0.3):
+            a = taylor_coefficients(T, ell, t)
+            assert a[0] == dirichlet_poly(EvalPoint(t, ell, T))
+
+
+def test_polynomial_forms_its_terms_in_one_pass(monkeypatch):
+    passes = []
+    blocks = rzeta.zeta._coefficient_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(rzeta.zeta, "_coefficient_blocks", counted)
+    dirichlet_poly(EvalPoint(1.5e4, 1, 1e4))
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e17])
+def test_taylor_model_refuses_a_phase_with_no_digits(t):
+    # |t| log N >= 2^53, or no number at all: every moment would be NaN
+    # or meaningless
+    with pytest.raises(ValueError) as refused:
+        taylor_coefficients(1e4, 1, t)
+    want = (f"t = {t:g} leaves no digit of the phase at N = 10000 terms: "
+            f"|t| log N = {abs(t) * math.log(1e4):.3g} >= 2^53")
+    assert str(refused.value) == want
+    if math.isfinite(t):  # EvalPoint refuses the others first
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            dirichlet_poly(EvalPoint(t, 1, 1e4))
+
+
+def test_taylor_model_refuses_ell_before_the_phase_and_the_sum_after():
+    with pytest.raises(ValueError, match="ell must be >= 0"):
+        taylor_coefficients(1e4, -1, math.nan)
+    # a coefficient sum past the double range is refused after the last
+    # block, so the phase is refused first
+    with pytest.raises(ValueError, match="no digit of the phase"):
+        list(rzeta.zeta._terms_at(10**6, 400, math.nan))
