@@ -67,9 +67,9 @@ from .zeta import _em_tail_terms  # noqa: F401
 
 ENGINE_ELEMENT_CAP = 4096
 # Refusal above this many scan points: the guard against out-of-memory
-# scans at large T.  A scan peaks about 100 bytes per point above its
-# inputs, linear in the point count (tracemalloc, 0.29M to 1M points at
-# T = 1e4 to 5e4: 99 MB at 1M), so 5M points stay near 500 MB.
+# scans at large T.  A refined scan's process peaks at about 128 bytes
+# per point (max RSS: 222 MB at 1.47M points, T = 1e5; 622 MB at 4.84M,
+# T = 3e5, step 0.062), so 5M points stay near 650 MB.
 MAX_SCAN_POINTS = 5_000_000
 # Refusal above this many candidate (n, m, m') in a moment window: about
 # a second of work.  A certificate's window holds far fewer (131 at
@@ -445,7 +445,7 @@ def scan_max(
     best_v = float(values[top])
 
     if refine:
-        for idx in np.argsort(values)[::-1][:10]:
+        for idx in np.argpartition(values, -10)[-10:]:
             center = float(t_grid[idx])
             model = taylor_coefficients(T, ell, center)[::-1]
             lo = max(T, center - step) - center

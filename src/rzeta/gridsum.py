@@ -8,8 +8,9 @@ at many equally spaced t = t0 + k*dt.  For a uniform grid the
 integer mode structure e^(-i*t*omega) = e^(-i*t0*omega) * e^(-i*k*(dt*omega))
 turns this into a type-1 nonuniform FFT: spread each source phase onto an
 oversampled uniform grid with a truncated Gaussian kernel, FFT, and
-deconvolve (Dutt-Rokhlin gridding).  Accuracy is a few 1e-14 relative to
-sum|c|; the unit tests pin it against direct summation.
+deconvolve (Dutt-Rokhlin gridding).  A plan reuses its stencil offsets and
+deconvolution factors.  Accuracy is a few 1e-14 relative to sum|c|; the
+unit tests pin it against direct summation.
 
 A few sources (at most 64) advance their phases by cumulative products
 instead.  Chunked direct evaluation, :func:`_direct_grid`, is the
@@ -35,6 +36,9 @@ KERNEL_HALF_WIDTH = 16
 # which keeps cumulative-product drift near direct evaluation's rounding.
 CUMPROD_CHUNK = 4096
 
+# Sources spread per block: about 5 MB of stencil temporaries.
+_SPREAD_BLOCK = 4096
+
 
 def next_smooth(n: int) -> int:
     """The smallest integer >= n with prime factors 2, 3, 5 only."""
@@ -59,9 +63,9 @@ def _direct_grid(omega, coeffs, t0, dt, count):
 class UniformGridPlan:
     """Reusable gridding plan: a fixed (omega, dt, count) geometry.
 
-    The spreading kernel depends only on the phases dt*omega, so repeated
-    transforms with different coefficients or grid origins reuse all
-    kernel tables.
+    The spreading stencil depends only on the phases dt*omega, so repeated
+    transforms with different coefficients or grid origins reuse the
+    stencil offsets and the deconvolution factors.
     """
 
     def __init__(self, omega, dt: float, count: int):
@@ -70,7 +74,6 @@ class UniformGridPlan:
         self.count = int(count)
 
         w = KERNEL_HALF_WIDTH
-        self.width = w
         self.shift = count // 2
         self.mr = next_smooth(2 * count + 4 * w + 8)
         self.tau = math.pi * w * math.sqrt(2.0) / self.mr**2
@@ -78,15 +81,13 @@ class UniformGridPlan:
         self.h = h
 
         phi = np.mod(self.dt * self.omega, 2.0 * math.pi)
-        self.phi = phi
+        # Source n lands at fine-grid point m0 + d, d = -w..w, a distance
+        # delta - d*h from its phase.
         self.m0 = np.rint(phi / h).astype(np.int64)
-        delta = phi - self.m0 * h
-        # Factored Gaussian: exp(-(delta - d*h)^2/(4 tau)) = e1 * e2^d * e3[d]
-        self.e1 = np.exp(-(delta**2) / (4.0 * self.tau))
-        self.e2 = np.exp(delta * h / (2.0 * self.tau))
-        self.e3 = np.exp(-(np.arange(-w, w + 1) ** 2) * h**2 / (4.0 * self.tau))
+        self.delta = phi - self.m0 * h
+        self.offsets = np.arange(-w, w + 1)
         # Mode-shift phases so |k'| <= ~count/2 <= mr/4 keeps aliasing tame.
-        self.mode_phase = np.exp(-1j * self.shift * phi) * self.e1
+        self.mode_phase = np.exp(-1j * self.shift * phi)
 
         kprime = np.arange(count) - self.shift
         self.out_idx = np.where(kprime >= 0, kprime, self.mr + kprime)
@@ -101,15 +102,13 @@ class UniformGridPlan:
             * np.exp(-1j * t0 * self.omega)
             * self.mode_phase
         )
-        mr, w = self.mr, self.width
-        grid = np.zeros(mr, dtype=np.complex128)
-        base = c * self.e2 ** float(-w)
-        for j, d in enumerate(range(-w, w + 1)):
-            idx = np.mod(self.m0 + d, mr)
-            vals = base * self.e3[j]
-            grid.real += np.bincount(idx, weights=vals.real, minlength=mr)
-            grid.imag += np.bincount(idx, weights=vals.imag, minlength=mr)
-            base *= self.e2
+        grid = np.zeros(self.mr, dtype=np.complex128)
+        for start in range(0, c.size, _SPREAD_BLOCK):
+            block = slice(start, start + _SPREAD_BLOCK)
+            gap = self.delta[block, None] - self.offsets * self.h
+            kernel = np.exp(-(gap**2) / (4.0 * self.tau))
+            idx = np.mod(self.m0[block, None] + self.offsets, self.mr)
+            np.add.at(grid, idx, c[block, None] * kernel)
         spectrum = np.fft.fft(grid)
         return spectrum[self.out_idx] * self.decon
 

@@ -30,7 +30,16 @@ def brute(omega, coeffs, t0, dt, count):
     )
 
 
-@pytest.mark.parametrize("seed,n,count", [(0, 50, 300), (1, 400, 2000), (2, 3, 97)])
+@pytest.mark.parametrize(
+    "seed,n,count",
+    # the last input spans two full spreading blocks and a ragged third
+    [
+        (0, 50, 300),
+        (1, 400, 2000),
+        (2, 3, 97),
+        (4, 2 * gridsum._SPREAD_BLOCK + 1, 300),
+    ],
+)
 def test_nufft_matches_direct_random(seed, n, count):
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0, 30, n)
