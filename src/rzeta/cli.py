@@ -189,6 +189,13 @@ def _cmd_resonate(args, prec):
 
 
 def _cmd_scan(args, prec):
+    given = [f"--{name}" for name in ("x", "b")
+             if getattr(args, name) is not None]
+    if args.csv and given:  # the samples are P alone: no certificate
+        raise ValueError(
+            f"scan --csv dumps the grid samples and takes no resonator; "
+            f"drop {' and '.join(given)}"
+        )
     from .engine import scan_max, scan_samples
     from .resonator import ResonatorSpec
 
@@ -197,8 +204,8 @@ def _cmd_scan(args, prec):
         rows = ((repr(float(a)), repr(float(b))) for a, b in zip(t, v))
         return ("t", "value"), rows
     spec = None
-    if args.x is not None or args.b is not None:
-        if args.x is None or args.b is None:
+    if given:
+        if len(given) == 1:
             raise ValueError("scan needs both --x and --b, or neither")
         spec = ResonatorSpec(args.x, args.b)
     report = scan_max(args.T, args.ell, args.step, refine=args.refine, spec=spec)
@@ -329,7 +336,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--refine", action="store_true")
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--csv", action="store_true", help="dump (t, value) samples")
+    p.add_argument(
+        "--csv", action="store_true",
+        help="dump (t, value) samples; --refine has no effect here",
+    )
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(

@@ -29,6 +29,7 @@ Convention: the k=1 term contributes (log 1)^0 = 1 to S(x; 0).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -45,10 +46,11 @@ from .jets import (
     local_factor_jet,
     refuse_double_order,
 )
-from .precision import DOUBLE, Frozen, Precision, exp_gamma, real, rlog
+from .precision import DOUBLE, Frozen, Precision, exp_gamma, real, rlog, rsum
 from .primes import MAX_SIEVE_LIMIT, iterated_log
 
 ENUMERATION_CAP = 10**6
+_SUM_BLOCK = 2**14  # terms per rounded partial sum in high precision
 _SCALE_ADVICE = (
     "use high precision (--precision) or the value normalized by |M|"
 )
@@ -87,7 +89,7 @@ class ResonatorSpec(Frozen):
         if i == self.J:
             return self.primes
         threshold = self.x ** (i / self.J)
-        return tuple(p for p in self.primes if p <= threshold)
+        return self.primes[:bisect.bisect_right(self.primes, threshold)]
 
 
 def resonator_cardinality(spec: ResonatorSpec) -> int:
@@ -133,18 +135,16 @@ def _times(count: int, value, prec: Precision):
     """count * value, for an exact factor of |M| = b^pi(x) and a value
     normalized by it; refuses a count or a product beyond the double
     range."""
-    if prec.is_double:
-        try:
-            product = float(count) * value
-        except OverflowError:  # the count alone is past the double range
-            product = math.inf
-        if not math.isfinite(product):
-            raise OverflowError(
-                f"b^pi(x) = {count_text(count)} times the value normalized "
-                f"by |M| exceeds the double range; {_SCALE_ADVICE}"
-            )
-        return product
-    return real(count, prec) * value
+    try:
+        product = real(count, prec) * value
+    except OverflowError:  # the count alone is past the double range
+        product = math.inf
+    if prec.is_double and not math.isfinite(product):
+        raise OverflowError(
+            f"b^pi(x) = {count_text(count)} times the value normalized "
+            f"by |M| exceeds the double range; {_SCALE_ADVICE}"
+        )
+    return product
 
 
 def enumerate_M(spec: ResonatorSpec, cap: int = ENUMERATION_CAP) -> list[int]:
@@ -164,26 +164,29 @@ def _weighted_sum(
     primes: tuple[int, ...], b: int, cap: int, prec: Precision, ell: int
 ):
     """sum w(k) (log k)^l / k over the divisors k of prod p^(b-1), with
-    w(k) = prod_p (b - v_p(k)), built prime by prime.
+    w(k) = prod_p (b - v_p(k)), built prime by prime as outer products.
 
-    Double mode sums float arrays; elements beyond the double range come
-    out as k = inf, and their terms, below double resolution of any total
-    here, as 0; an ell whose terms overflow is refused.  High precision
-    sums exact k and w in descending order of k.
+    The precision picks only the element type and the reduction.  Double
+    mode holds floats: elements beyond the double range come out as
+    k = inf, and their terms, below double resolution of any total here,
+    as 0; numpy sums the terms pairwise, and an ell whose terms overflow
+    is refused.  High precision holds exact integers k and w and working
+    reals log k; the sum of each block of _SUM_BLOCK terms is rounded
+    once, and so is the sum of the block sums, so the order of the terms
+    does not matter.
     """
     _refuse_over_cap(primes, b, cap)
+    kind = np.float64 if prec.is_double else object
+    v = np.arange(b).astype(kind)
+    k = np.ones(1, dtype=kind)
+    w = np.ones(1, dtype=kind)
+    logk = np.array([real(0, prec)], dtype=kind)
+    for p in primes:
+        with np.errstate(over="ignore"):
+            k = np.outer(k, p**v).ravel()
+        w = np.outer(w, b - v).ravel()
+        logk = np.add.outer(logk, v * rlog(p, prec)).ravel()
     if prec.is_double:
-        k = np.array([1.0])
-        logk = np.array([0.0])
-        w = np.array([1.0])
-        wfac = (b - np.arange(b)).astype(np.float64)
-        for p in primes:
-            with np.errstate(over="ignore"):
-                pw = np.power(float(p), np.arange(b, dtype=np.float64))
-                k = (k[:, None] * pw[None, :]).ravel()
-            logpw = np.arange(b) * math.log(p)
-            logk = (logk[:, None] + logpw[None, :]).ravel()
-            w = (w[:, None] * wfac[None, :]).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(w * logk**ell / k))
         if not math.isfinite(total):
@@ -192,19 +195,9 @@ def _weighted_sum(
                 f"ell={ell}; use high precision (--precision)"
             )
         return total
-    elements = [(1, 1, real(0, prec))]
-    for p in primes:
-        logp = rlog(p, prec)
-        elements = [
-            (kv * p**e, wv * (b - e), logkv + e * logp)
-            for kv, wv, logkv in elements
-            for e in range(b)
-        ]
-    elements.sort(key=lambda t: t[0], reverse=True)
-    acc = real(0, prec)
-    for kv, wv, logkv in elements:
-        acc += wv * logkv**ell / kv
-    return acc
+    # one block of terms at a time: all at once would hold |M| more reals
+    blocks = (slice(i, i + _SUM_BLOCK) for i in range(0, k.size, _SUM_BLOCK))
+    return rsum([rsum(w[s] * logk[s]**ell / k[s], prec) for s in blocks], prec)
 
 
 def S_brute(

@@ -343,6 +343,28 @@ def test_scan_csv_rejects_negative_ell(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, named",
+    [("--x 3 --b 3", "--x and --b"), ("--x 3", "--x"), ("--b 3", "--b"),
+     ("--refine", None)],
+    ids=["x-and-b", "x", "b", "refine"],
+)
+def test_scan_csv_refuses_a_resonator(capsys, extra, named):
+    # the samples carry no certificate, so a resonator would be dropped
+    # silently; --refine is accepted and has no effect on them
+    code, out, err = invoke(
+        capsys, "scan", "--T", "100", "--ell", "0", "--step", "0.1",
+        "--csv", *extra.split(), "--no-timestamp",
+    )
+    if named is None:
+        assert code == 0, err
+        assert out.startswith("t,value\n")
+    else:
+        assert code == 1
+        assert out == ""
+        assert f"drop {named}" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("ssum", "--x", "3", "--b", "2", "--ell", "0", "--precision", "60"),

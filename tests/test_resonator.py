@@ -157,7 +157,7 @@ def test_enumerate_cap_refusal():
     with pytest.raises(ValueError, match="cap"):
         enumerate_M(ResonatorSpec(30, 4), cap=1000)
     with pytest.raises(ValueError, match="cap"):
-        S_brute(ResonatorSpec(30, 4), 0, cap=1000)  # the array route
+        S_brute(ResonatorSpec(30, 4), 0, cap=1000)  # in double
     with pytest.raises(ValueError, match="cap"):
         S_brute(ResonatorSpec(30, 4), 0, cap=1000, prec=HIGH)
     with pytest.raises(ValueError, match="cap"):
@@ -294,6 +294,20 @@ def test_S_brute_high_precision_agrees():
         hj = S_jet(spec, ell, prec=HIGH)
         with mpmath.workdps(50):
             assert abs(hi - hj) <= abs(hi) * mpmath.mpf(10) ** -40 + mpmath.mpf(10) ** -40
+    # against sum w(k) (log k)^l / k over exponent tuples, exact k and w,
+    # summed at 80 digits: the 50-digit sum keeps 48 digits at l >= 1
+    for x, b in [(13, 3), (7, 4), (5, 6)]:
+        primes = oracle_primes(x)
+        for ell in (1, 3, 10):
+            hi = S_brute(ResonatorSpec(x, b), ell, prec=HIGH)
+            with mpmath.workdps(80):
+                terms = []
+                for exps in itertools.product(range(b), repeat=len(primes)):
+                    k = math.prod(p**e for p, e in zip(primes, exps))
+                    w = math.prod(b - e for e in exps)
+                    terms.append(w * mpmath.log(k) ** ell / k)
+                ref = mpmath.fsum(terms)
+                assert abs(hi - ref) <= ref * mpmath.mpf(10) ** -48, (x, b, ell)
 
 
 def test_layer_sums():
@@ -329,6 +343,19 @@ def test_boundary_prime_included():
     assert layer_sum(spec, 1) == pytest.approx(
         float(oracle_layer(4, 2, 2, 1)), rel=1e-13
     )
+    # exact powers put a prime on a layer boundary (8^(1/3) = 2,
+    # 27^(1/3) = 9^(1/2) = 3, 25^(1/2) = 5, 121^(1/2) = 11), or, as
+    # rounded, a hair below one (125^(1/3) = 4.999...); each layer must
+    # hold what the literal filter p <= x^(i/J) keeps
+    for x, J in [(8, 3), (27, 3), (9, 2), (25, 2), (121, 2), (125, 3)]:
+        spec = ResonatorSpec(x, 2, J=J)
+        for i in range(J + 1):
+            literal = tuple(
+                p for p in oracle_primes(x) if p <= x ** (i / J)
+            )
+            assert spec.layer_primes(i) == literal, (x, J, i)
+    assert ResonatorSpec(27, 2, J=3).layer_primes(1) == (2, 3)
+    assert ResonatorSpec(125, 2, J=3).layer_primes(1) == (2, 3)
 
 
 def test_partition_bound_values():
