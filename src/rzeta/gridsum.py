@@ -12,9 +12,11 @@ deconvolve (Dutt-Rokhlin gridding).  A plan reuses its stencil offsets and
 deconvolution factors.  Accuracy is a few 1e-14 relative to sum|c|; the
 unit tests pin it against direct summation.
 
-A few sources (at most 64) advance their phases by cumulative products
-instead.  Chunked direct evaluation, :func:`_direct_grid`, is the
-reference the tests compare both routes against; no caller routes to it.
+The plan is the one production route, whatever the number of sources.
+Two references stand beside it and no caller routes to them: chunked
+direct evaluation, :func:`_direct_grid`, which the gridsum tests compare
+against, and cumulative phase products, :func:`_cumprod_grid`, which the
+tests' quadrature reference uses for |R|^2 of a resonator of a few terms.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ DIRECT_LIMIT = 2_000_000
 # around exp(-pi*w/sqrt(2)) ~ 4e-16 before deconvolution amplification.
 KERNEL_HALF_WIDTH = 16
 
-# The few-source route re-anchors its phases every this many grid points,
-# which keeps cumulative-product drift near direct evaluation's rounding.
+# The cumulative-product reference re-anchors its phases every this many
+# grid points, which keeps its drift near direct evaluation's rounding.
 CUMPROD_CHUNK = 4096
 
 # Sources spread per block: about 5 MB of stencil temporaries.
@@ -118,10 +120,11 @@ def _nufft_grid(omega, coeffs, t0, dt, count):
 
 
 def _cumprod_grid(omega, coeffs, t0, dt, count):
-    """Few-source path: advance phases by cumulative products per chunk.
+    """Reference for a few sources: advance phases by cumulative products.
 
     Chunks of ``CUMPROD_CHUNK`` points are re-anchored with a fresh
-    exponential so rounding drift stays at the chunk scale.
+    exponential so rounding drift stays at the chunk scale.  Its cost is
+    sources x points, so it beats the plan only for a handful of sources.
     """
     omega = np.asarray(omega, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -141,14 +144,8 @@ def _cumprod_grid(omega, coeffs, t0, dt, count):
 def exp_sum_on_grid(
     omega, coeffs, t0: float, dt: float, count: int
 ) -> np.ndarray:
-    """S_k = sum_n c_n exp(-i (t0 + k dt) omega_n) for k = 0..count-1.
-
-    Few sources (at most 64) use cumulative phase products; everything
-    else goes through the gridded FFT.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
+    """S_k = sum_n c_n exp(-i (t0 + k dt) omega_n) for k = 0..count-1,
+    through the gridded FFT plan for any number of sources."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if omega.size <= 64:
-        return _cumprod_grid(omega, coeffs, t0, dt, count)
     return _nufft_grid(omega, coeffs, t0, dt, count)

@@ -4,20 +4,23 @@ The fast route is the truncated Dirichlet polynomial
 
     P(t) = sum_{n <= T} (log n)^l / n^(1+it),
 
-which approximates (-1)^l zeta^(l)(1+it) with error O((log log T)^l) for
-T <= t <= 2T and l up to (log T)/(log log T).  At one height its terms
-are formed once, in blocks of n, so its memory does not grow with T, and
-both its value and its local Taylor model sum them.  The oracle route is
-Euler-Maclaurin evaluation of zeta itself plus Cauchy-circle
-differentiation (trapezoid on a circle around s0, exponentially accurate
-for analytic integrands, with a mandatory two-grid agreement check).
-One cached ring serves every order l <= 8 at a height.  Its head sum
-forms n^(-s0) once per n, with the phase t log n reduced in long double,
-and takes the factors n^(-d) of all 128 nodes from a quarter of the
-circle; against 30-digit mpmath it is within about 1e-10 relative up to
-t = 2e5.
+which approximates (-1)^l zeta^(l)(1+it) for T <= t <= 2T and l up to
+(log T)/(log log T).  The gap is about (log T)^l/t, at most (log T)^l/T:
+the l-th derivative of the Euler-Maclaurin boundary term T^(1-s)/(s-1)
+that P omits.  At one height its terms are formed once, in blocks of n,
+so its memory does not grow with T, and both its value and its local
+Taylor model sum them.  The oracle route is Euler-Maclaurin evaluation
+of zeta itself plus Cauchy-circle differentiation (trapezoid on a circle
+around s0, exponentially accurate for analytic integrands, with a
+mandatory two-grid agreement check).  One cached ring serves every order
+l <= 8 at a height.  Its head sum forms n^(-s0) once per n, with the
+phase t log n reduced in long double, and takes the factors n^(-d) of
+all 128 nodes from a quarter of the circle; against 30-digit mpmath it
+is within about 1e-10 relative up to t = 2e5.
 :func:`approx_error_probe` measures the gap between the two on seeded
-pseudo-random heights and reports its ratio to the predicted size.
+pseudo-random heights: at most 0.959 (log T)^l/T at T in {1e3, 2e4,
+1e5}, l <= 2.  It reports the gap's ratio to the looser envelope
+(log log T)^l.
 
 The probe's sampler is a fixed 64-bit linear congruential generator
 (Knuth's MMIX constants), so identical seeds give identical heights on
@@ -205,15 +208,22 @@ def dirichlet_poly(point: EvalPoint) -> complex:
 def taylor_coefficients(cutoff: float, ell: int, t0: float) -> np.ndarray:
     """a_0..a_K, K = TAYLOR_ORDER, with P(t0 + h) = sum_k a_k h^k up to
     (|h| log N)^(K+1)/(K+1)! sum c_n: a_k = sum c_n n^(-i t0) (-i log n)^k
-    / k!, from one blocked pass (Odlyzko & Schoenhage, Trans. AMS 1988)."""
+    / k!, from one blocked pass (Odlyzko & Schoenhage, Trans. AMS 1988).
+    The pass sums the moments of (log n / 2^e)^k, 2^e > log N, since
+    (log N)^(l+k) can leave the double range where c_n does not; scaling
+    by a power of two rounds nothing."""
     terms = dirichlet_terms(cutoff, ell)
+    e = math.frexp(math.log(max(terms, 1)))[1]
     moments = np.zeros(TAYLOR_ORDER + 1, dtype=np.complex128)
     for logn, weighted in _terms_at(terms, ell, t0):
+        scaled = np.ldexp(logn, -e)
         for k in range(TAYLOR_ORDER + 1):
-            moments[k] += weighted.sum()  # sum c_n n^(-i t0) (log n)^k
-            weighted *= logn
+            moments[k] += weighted.sum()  # sum c_n n^(-i t0) (log n/2^e)^k
+            weighted *= scaled
     k = np.arange(TAYLOR_ORDER + 1)
-    return moments * (-1j) ** k / np.cumprod(np.maximum(k, 1))  # (-i)^k/k!
+    a = moments / np.cumprod(np.maximum(k, 1))  # / k!
+    a.real, a.imag = np.ldexp(a.real, e * k), np.ldexp(a.imag, e * k)
+    return a * (-1j) ** k
 
 
 # ------------------------------------------------------- Euler-Maclaurin --
@@ -456,7 +466,9 @@ def approx_error_probe(
     T: float, sample_count: int, ell: int, seed: int
 ) -> ProbeResult:
     """Max |(-1)^l zeta^(l)(1+it) - P(t)| over seeded t in [T, 2T], and
-    its ratio to (log log T)^l."""
+    its ratio to (log log T)^l.  That envelope is much looser than the
+    gap itself, about (log T)^l/T: measured ratios run from 1e-5 to 1e-2
+    at T = 1e3..1e5, l <= 2."""
     if T < 100:
         raise ValueError(f"probe needs T >= 100, got {T}")
     if sample_count < 1:

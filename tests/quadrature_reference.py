@@ -4,10 +4,13 @@ window sums of :mod:`rzeta.engine`.
 :func:`_moment` integrates a grid evaluator times |R|^2 phi(t/T) over
 [T, 2T] by the nested trapezoid rule of :mod:`rzeta.quadrature`, whose
 first grid is sized from the integrand's band and whose levels each run
-one FFT-gridded transform.  The evaluator is the Dirichlet polynomial P
-(or P = 1 for M1), or, for :func:`oracle_M2`, (-1)^l zeta^(l)(1 + it) by
-Euler-Maclaurin on zeta's Cauchy circle, fully independent of P.  Zeta
-has no finite spectrum, so that moment has no window sum to compare.
+one FFT-gridded transform for the evaluator.  |R|^2 comes from
+cumulative phase products instead: for the few-term resonators of these
+tests they are faster than the gridded plan on the same grid.  The
+evaluator is the Dirichlet polynomial P (or P = 1 for M1), or, for
+:func:`oracle_M2`, (-1)^l zeta^(l)(1 + it) by Euler-Maclaurin on zeta's
+Cauchy circle, fully independent of P.  Zeta has no finite spectrum, so
+that moment has no window sum to compare.
 """
 
 import functools
@@ -15,7 +18,7 @@ import functools
 import numpy as np
 
 from rzeta.engine import PHI_BAND, _resonator, bump_phi
-from rzeta.gridsum import exp_sum_on_grid
+from rzeta.gridsum import _cumprod_grid, exp_sum_on_grid
 from rzeta.quadrature import integrate_refine
 from rzeta.zeta import (
     EM_ORDER,
@@ -35,7 +38,7 @@ def _moment(spec, T, poly, nu_poly):
     ones = np.ones_like(logs)
 
     def integrand(t0, dt, count):
-        r = exp_sum_on_grid(logs, ones, t0, dt, count)
+        r = _cumprod_grid(logs, ones, t0, dt, count)
         u = (t0 + dt * np.arange(count)) / T
         return poly(t0, dt, count) * (r.real**2 + r.imag**2) * bump_phi(u)
 

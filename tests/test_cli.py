@@ -331,6 +331,25 @@ def test_scan_refines_above_ell_8(capsys):
     assert doc["max_value"] >= grid["max_value"]
 
 
+def test_scan_refuses_a_coefficient_sum_past_the_double_range(
+    capsys, monkeypatch
+):
+    # with the log-space refusal of dirichlet_terms out of the way, the
+    # check after the last coefficient block refuses, as an error line
+    monkeypatch.setattr(rzeta.zeta, "_LOG_DBL_MAX", math.inf)
+    scan = ("scan", "--T", "1e4", "--ell", "400", "--step", "0.06")
+    with warnings.catch_warnings(record=True) as caught:
+        code, out, err = invoke(capsys, *scan, "--csv", "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: Dirichlet coefficients (log n)^400/n for n <= 10000 leave "
+        "the double range at ell=400\n"
+    )
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_scan_csv_rejects_negative_ell(capsys):
     code, out, err = invoke(
         capsys,

@@ -675,6 +675,23 @@ def test_scan_refines_on_the_taylor_model_of_P(monkeypatch):
         assert abs(dirichlet_poly(point)) < exact
 
 
+@pytest.mark.parametrize("T,ell", [(2e4, 300), (1e5, 280)])
+def test_scan_refines_where_log_n_to_ell_plus_18_leaves_the_double_range(
+    T, ell
+):
+    # P's coefficients fit, but (log N)^(ell+18) does not: the Taylor
+    # moments overflowed with a numpy warning, and the refined scan
+    # reported the grid maximum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = scan_max(T, ell, 0.068)
+        report = scan_max(T, ell, 0.068, refine=True)
+    assert report.max_value > grid.max_value
+    logn, coeffs = rzeta.zeta.dirichlet_coefficients(T, ell)
+    exact = abs(fsum_sum_at(logn, coeffs, report.argmax_t))
+    assert report.max_value == pytest.approx(exact, rel=1e-8)
+
+
 def test_scan_samples_max_consistency():
     t, v = scan_samples(1200.0, 0, 0.1)
     rep = scan_max(1200.0, 0, 0.1)
